@@ -148,7 +148,6 @@ int main(int argc, char** argv) try {
   std::cout << "plan: " << plan.shards.size() << " shards over "
             << plan.matrix.nodes.size() << " nodes, " << plan.lanes.size()
             << " weather lanes, fingerprint " << plan.fingerprint << "\n\n";
-  std::cout << plan.Describe() << '\n';
 
   // ---- Multi-process mode: the coordinator does stages 2+3 for real. -----
   if (procs > 0) {
@@ -176,7 +175,12 @@ int main(int argc, char** argv) try {
               << stats.shards_reassigned << " shards reassigned\n"
               << "frames: " << stats.frames_accepted << " accepted, "
               << stats.duplicate_frames << " duplicate, "
-              << stats.corrupt_frames << " corrupt\n\n";
+              << stats.corrupt_frames << " corrupt\n"
+              << "lanes: " << stats.lanes_synthesized << " synthesized for "
+              << plan.lanes.size() << " in the plan, " << stats.group_splits
+              << " group splits; worker synth_s="
+              << stats.worker_synth_seconds
+              << " sim_s=" << stats.worker_sim_seconds << "\n\n";
 
     const FleetSummary monolithic = RunFleet(spec);
     const bool identical = BitIdentical(merged, monolithic);

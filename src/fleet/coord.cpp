@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstddef>
 #include <condition_variable>
 #include <deque>
 #include <filesystem>
@@ -90,13 +91,38 @@ std::uint64_t FleetFrameChecksum(std::string_view payload) {
   return h;
 }
 
-std::string EncodeFleetFrame(std::size_t shard, const std::string& payload) {
+std::string EncodeFleetFrame(std::size_t shard, const std::string& payload,
+                             const FleetFrameCounters& counters) {
   std::ostringstream os;
   os << "frame " << shard << ' ' << payload.size() << ' '
-     << FleetFrameChecksum(payload) << '\n';
+     << FleetFrameChecksum(payload) << ' ' << counters.lanes_synthesized
+     << ' ';
+  serdes::WriteDouble(os, counters.synth_seconds);
+  os << ' ';
+  serdes::WriteDouble(os, counters.sim_seconds);
+  os << '\n';
   os << payload;
   os << "end-frame\n";
   return os.str();
+}
+
+std::optional<FleetFrameHeader> ParseFleetFrameHeader(std::string_view line) {
+  std::istringstream in{std::string(line)};
+  FleetFrameHeader header;
+  try {
+    serdes::ExpectToken(in, "frame");
+    header.shard = static_cast<std::size_t>(serdes::ReadU64(in));
+    header.bytes = serdes::ReadU64(in);
+    header.checksum = serdes::ReadU64(in);
+    header.counters.lanes_synthesized = serdes::ReadU64(in);
+    header.counters.synth_seconds = serdes::ReadDouble(in);
+    header.counters.sim_seconds = serdes::ReadDouble(in);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+  in >> std::ws;
+  if (!in.eof() || header.bytes > kMaxFleetFrameBytes) return std::nullopt;
+  return header;
 }
 
 // ---- Coordinator ---------------------------------------------------------
@@ -129,9 +155,11 @@ class FdReader {
   }
 
   /// Exactly `n` bytes into `out`; false on EOF before they all arrive.
+  /// The reservation is capped: `n` comes off the wire, and the bytes
+  /// behind a lying count may never arrive.
   bool ReadExact(std::string& out, std::size_t n) {
     out.clear();
-    out.reserve(n);
+    out.reserve(std::min<std::size_t>(n, std::size_t{1} << 20));
     while (out.size() < n) {
       if (pos_ == len_ && !Fill()) return false;
       const std::size_t take = std::min(n - out.size(), len_ - pos_);
@@ -176,6 +204,21 @@ bool WriteAll(int fd, std::string_view data) {
 
 enum class ShardState { kPending, kInflight, kDone };
 
+/// Shards in plan order; the unit a worker takes from the queue.
+using LaneGroup = std::deque<std::size_t>;
+
+/// Sorted, de-duplicated weather lanes one shard's nodes read.
+std::vector<std::size_t> ShardLanes(const ShardPlan& plan, std::size_t shard) {
+  std::vector<std::size_t> lanes;
+  const ShardRange& range = plan.shards[shard];
+  for (std::size_t i = range.begin_node; i < range.end_node; ++i) {
+    lanes.push_back(plan.matrix.trace_lane(plan.matrix.nodes[i]));
+  }
+  std::sort(lanes.begin(), lanes.end());
+  lanes.erase(std::unique(lanes.begin(), lanes.end()), lanes.end());
+  return lanes;
+}
+
 struct WorkerProc {
   std::size_t spawn = 0;  ///< monotone spawn id (stable across respawns).
   pid_t pid = -1;
@@ -190,6 +233,8 @@ struct WorkerProc {
   Clock::time_point last_activity;
   std::set<std::size_t> inflight;                 ///< dispatched shards.
   std::map<std::size_t, Clock::time_point> sent;  ///< dispatch times.
+  LaneGroup rest;  ///< undispatched rest of its current lane group.
+  std::vector<bool> lanes_held;  ///< lanes of every shard handed to it.
 };
 
 struct CoordState {
@@ -198,7 +243,8 @@ struct CoordState {
 
   const ShardPlan* plan = nullptr;
   std::vector<ShardState> shard_state;
-  std::deque<std::size_t> pending;
+  std::vector<std::vector<std::size_t>> shard_lanes;  ///< per shard.
+  std::deque<LaneGroup> pending;  ///< unstarted (or requeued) groups.
   std::vector<std::optional<FleetPartial>> partials;  ///< per shard.
   std::vector<std::size_t> winning_spawn;             ///< per shard.
   std::size_t done = 0;
@@ -229,31 +275,34 @@ void ReaderMain(CoordState& state, WorkerProc& worker) {
     }
     if (line->rfind("frame ", 0) != 0) continue;  // forward compatibility.
 
-    // Header + payload + trailer, off-lock (pipe reads may block).
-    std::istringstream header(line->substr(6));
-    std::uint64_t shard = 0, bytes = 0, checksum = 0;
-    header >> shard >> bytes >> checksum;
-    std::string payload;
-    bool ok = !header.fail() && reader.ReadExact(payload, bytes);
-    if (ok) {
-      std::optional<std::string> trailer = reader.ReadLine();
-      ok = trailer && *trailer == "end-frame";
-    }
-    if (!ok) break;  // stream died mid-frame: plain worker death.
-
-    // Validate the frame itself; any lie makes the worker faulty (its
-    // framing can no longer be trusted, so stop reading it entirely).
+    // Header + payload + trailer, off-lock (pipe reads may block).  A
+    // header that does not parse is a lie, like a bad checksum.
+    const std::optional<FleetFrameHeader> header =
+        ParseFleetFrameHeader(*line);
     std::optional<FleetPartial> partial;
-    if (FleetFrameChecksum(payload) == checksum) {
-      try {
-        FleetPartial parsed = FleetPartial::Parse(payload);
-        if (parsed.plan_fingerprint == state.plan->fingerprint &&
-            parsed.shards.size() == 1 && parsed.shards[0].shard == shard &&
-            shard < state.plan->shards.size()) {
-          partial = std::move(parsed);
+    if (header) {
+      std::string payload;
+      bool ok = reader.ReadExact(payload, header->bytes);
+      if (ok) {
+        std::optional<std::string> trailer = reader.ReadLine();
+        ok = trailer && *trailer == "end-frame";
+      }
+      if (!ok) break;  // stream died mid-frame: plain worker death.
+
+      // Validate the frame itself; any lie makes the worker faulty (its
+      // framing can no longer be trusted, so stop reading it entirely).
+      if (FleetFrameChecksum(payload) == header->checksum) {
+        try {
+          FleetPartial parsed = FleetPartial::Parse(payload);
+          if (parsed.plan_fingerprint == state.plan->fingerprint &&
+              parsed.shards.size() == 1 &&
+              parsed.shards[0].shard == header->shard &&
+              header->shard < state.plan->shards.size()) {
+            partial = std::move(parsed);
+          }
+        } catch (const std::exception&) {
+          // fall through: corrupt.
         }
-      } catch (const std::exception&) {
-        // fall through: corrupt.
       }
     }
 
@@ -265,6 +314,7 @@ void ReaderMain(CoordState& state, WorkerProc& worker) {
       state.cv.notify_all();
       break;
     }
+    const std::size_t shard = header->shard;
     worker.inflight.erase(shard);
     worker.sent.erase(shard);
     if (state.shard_state[shard] == ShardState::kDone) {
@@ -275,7 +325,13 @@ void ReaderMain(CoordState& state, WorkerProc& worker) {
     state.partials[shard] = std::move(partial);
     state.winning_spawn[shard] = worker.spawn;
     ++state.done;
-    ++state.stats.frames_accepted;
+    FleetCoordStats& stats = state.stats;
+    ++stats.frames_accepted;
+    ++stats.frames_per_spawn[worker.spawn];
+    stats.lanes_synthesized +=
+        static_cast<std::size_t>(header->counters.lanes_synthesized);
+    stats.worker_synth_seconds += header->counters.synth_seconds;
+    stats.worker_sim_seconds += header->counters.sim_seconds;
     state.cv.notify_all();
   }
   std::lock_guard<std::mutex> lock(state.mutex);
@@ -324,6 +380,7 @@ void SpawnWorker(CoordState& state, const FleetCoordOptions& options,
   worker->stdin_fd = to_child[1];
   worker->stdout_fd = from_child[0];
   worker->last_activity = Clock::now();
+  worker->lanes_held.assign(state.plan->lanes.size(), false);
   // The job header is far smaller than the pipe buffer, so this never
   // blocks even against a worker that dies before reading it.
   if (!WriteAll(worker->stdin_fd, job_text)) worker->faulty = true;
@@ -331,6 +388,7 @@ void SpawnWorker(CoordState& state, const FleetCoordOptions& options,
   {
     std::lock_guard<std::mutex> lock(state.mutex);
     ++state.stats.workers_spawned;
+    state.stats.frames_per_spawn.push_back(0);
     state.workers.push_back(std::move(worker));
   }
   ref.reader = std::thread([&state, &ref] { ReaderMain(state, ref); });
@@ -338,8 +396,9 @@ void SpawnWorker(CoordState& state, const FleetCoordOptions& options,
 }
 
 /// Kills (if needed), joins, reaps, and requeues one worker's uncovered
-/// shards.  Called with the lock HELD; drops it around the blocking join
-/// and waitpid (the reader thread itself takes the lock).
+/// shards — in-flight ones and its undispatched rest — as one group at the
+/// front of the queue.  Called with the lock HELD; drops it around the
+/// blocking join and waitpid (the reader thread itself takes the lock).
 void ReapWorker(CoordState& state, std::unique_lock<std::mutex>& lock,
                 WorkerProc& worker, bool was_killed) {
   worker.reaped = true;
@@ -356,15 +415,66 @@ void ReapWorker(CoordState& state, std::unique_lock<std::mutex>& lock,
   } else {
     ++state.stats.workers_died;
   }
+  LaneGroup requeued = std::move(worker.rest);
+  worker.rest.clear();
   for (std::size_t shard : worker.inflight) {
     if (state.shard_state[shard] == ShardState::kInflight) {
       state.shard_state[shard] = ShardState::kPending;
-      state.pending.push_front(shard);
+      requeued.push_back(shard);
       ++state.stats.shards_reassigned;
     }
   }
   worker.inflight.clear();
   worker.sent.clear();
+  if (!requeued.empty()) {
+    std::sort(requeued.begin(), requeued.end());
+    state.pending.push_front(std::move(requeued));
+  }
+}
+
+/// Makes `shards` the worker's rest and returns how many of their lanes
+/// it had never been handed before (the lanes it will synthesize).
+std::size_t Assign(CoordState& state, WorkerProc& worker, LaneGroup shards) {
+  std::size_t new_lanes = 0;
+  for (std::size_t shard : shards) {
+    for (std::size_t lane : state.shard_lanes[shard]) {
+      if (!worker.lanes_held[lane]) {
+        worker.lanes_held[lane] = true;
+        ++new_lanes;
+      }
+    }
+  }
+  worker.rest = std::move(shards);
+  return new_lanes;
+}
+
+/// Refills a worker whose rest is empty: the next queued group, else — once
+/// no group is left unstarted, and only for an idle worker — the back half
+/// of the largest undispatched rest that holds at least 2 shards.  False
+/// when there is nothing to take.
+bool TakeWork(CoordState& state, WorkerProc& worker) {
+  if (!state.pending.empty()) {
+    Assign(state, worker, std::move(state.pending.front()));
+    state.pending.pop_front();
+    return true;
+  }
+  if (!worker.inflight.empty()) return false;
+  WorkerProc* victim = nullptr;
+  for (const auto& other : state.workers) {
+    if (other->reaped || other->rest.size() < 2) continue;
+    if (victim == nullptr || other->rest.size() > victim->rest.size()) {
+      victim = other.get();
+    }
+  }
+  if (victim == nullptr) return false;
+  LaneGroup& rest = victim->rest;
+  const auto back_half =
+      rest.end() - static_cast<std::ptrdiff_t>(rest.size() / 2);
+  LaneGroup piece(back_half, rest.end());
+  rest.erase(back_half, rest.end());
+  ++state.stats.group_splits;
+  state.stats.split_lanes += Assign(state, worker, std::move(piece));
+  return true;
 }
 
 /// Moves each accepted shard's trace file from its winning spawn's private
@@ -412,6 +522,18 @@ class ScopedIgnoreSigpipe {
 
 }  // namespace
 
+std::vector<std::vector<std::size_t>> BuildLaneGroups(const ShardPlan& plan) {
+  std::vector<std::vector<std::size_t>> groups;
+  std::map<std::vector<std::size_t>, std::size_t> group_of_lanes;
+  for (std::size_t shard = 0; shard < plan.shards.size(); ++shard) {
+    const auto [it, inserted] =
+        group_of_lanes.try_emplace(ShardLanes(plan, shard), groups.size());
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(shard);
+  }
+  return groups;
+}
+
 FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
                                  const FleetCoordOptions& options,
                                  FleetCoordStats* stats) {
@@ -437,8 +559,12 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
   state.shard_state.assign(plan.shards.size(), ShardState::kPending);
   state.partials.resize(plan.shards.size());
   state.winning_spawn.assign(plan.shards.size(), 0);
+  state.shard_lanes.reserve(plan.shards.size());
   for (std::size_t i = 0; i < plan.shards.size(); ++i) {
-    state.pending.push_back(i);
+    state.shard_lanes.push_back(ShardLanes(plan, i));
+  }
+  for (std::vector<std::size_t>& group : BuildLaneGroups(plan)) {
+    state.pending.emplace_back(group.begin(), group.end());
   }
 
   ScopedIgnoreSigpipe sigpipe_guard;
@@ -533,13 +659,14 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
                  : "; last worker error: " + state.last_worker_error));
       }
 
-      // Dispatch: refill every live worker up to its inflight window.
+      // Dispatch: refill every live worker up to its inflight window, each
+      // from its own lane group.
       for (auto& worker : state.workers) {
         if (worker->reaped || !worker->alive || worker->faulty) continue;
-        while (!state.pending.empty() &&
-               worker->inflight.size() < options.max_inflight_per_worker) {
-          const std::size_t shard = state.pending.front();
-          state.pending.pop_front();
+        while (worker->inflight.size() < options.max_inflight_per_worker) {
+          if (worker->rest.empty() && !TakeWork(state, *worker)) break;
+          const std::size_t shard = worker->rest.front();
+          worker->rest.pop_front();
           state.shard_state[shard] = ShardState::kInflight;
           worker->inflight.insert(shard);
           worker->sent.emplace(shard, Clock::now());

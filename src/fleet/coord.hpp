@@ -6,22 +6,32 @@
 // binary (tools/fleet/), hands each the full campaign once over stdin —
 // the ScenarioSpec's exact text plus the shard size, so every worker
 // rebuilds the IDENTICAL ShardPlan and proves it by echoing the plan
-// fingerprint — then dispatches shards one at a time ("run <shard>") and
-// streams each shard's FleetPartial::Serialize() text back over a pipe,
-// framed and checksummed per shard so completed shards survive a worker
-// death.
+// fingerprint — then dispatches shards ("run <shard>") and streams each
+// shard's FleetPartial::Serialize() text back over a pipe, framed and
+// checksummed per shard so completed shards survive a worker death.
+//
+// Dispatch is lane-grouped, because weather synthesis is about half of a
+// shard's cost and each worker caches the lanes it has synthesized.  A
+// lane group is the set of shards that read the same weather lanes
+// (BuildLaneGroups); groups queue in plan order of first appearance.  A
+// worker takes a whole group and runs it down one shard at a time, taking
+// the next group only when its own undispatched rest is empty, so each
+// lane is synthesized by one worker rather than by every worker.  Once no
+// group is left unstarted, an idle worker takes the back half of the
+// largest undispatched rest that holds at least 2 shards, which keeps a
+// campaign with fewer groups than workers parallel.
 //
 // Control plane vs data plane (the caldera heartbeat/transport split):
 // workers emit a heartbeat line between frames from a dedicated thread,
 // and the coordinator's per-worker reader threads timestamp every byte.
 // A deadline loop turns silence into death (SIGKILL + reap), a per-shard
 // deadline turns a hung-but-heartbeating worker into a straggler (same
-// treatment), and either way the victim's uncovered shards go back to the
-// pending queue for the survivors — safe by construction, because shards
-// are dispatched one per frame and MergeFleetPartials rejects duplicate
-// coverage, so the merge is over exactly one accepted frame per shard.
-// First valid frame wins; late duplicates from a killed straggler are
-// counted and discarded.
+// treatment), and either way the victim's in-flight shards and its
+// undispatched rest go back to the front of the queue as one group for
+// the survivors — safe by construction, because every frame carries one
+// shard and MergeFleetPartials rejects duplicate coverage, so the merge is
+// over exactly one accepted frame per shard.  First valid frame wins; late
+// duplicates from a killed straggler are counted and discarded.
 //
 // The merged summary is bit-identical to single-process RunFleet at any
 // worker count and any kill/reassignment schedule (pinned by
@@ -33,12 +43,14 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "fleet/aggregate.hpp"
 #include "fleet/scenario.hpp"
+#include "fleet/shard_plan.hpp"
 
 namespace shep {
 
@@ -75,10 +87,38 @@ std::string EncodeFleetJob(const FleetWorkerJob& job);
 /// FNV-1a 64 over the payload bytes; the frame checksum.
 std::uint64_t FleetFrameChecksum(std::string_view payload);
 
-/// One data-plane frame: "frame <shard> <bytes> <checksum>\n" + payload +
-/// "end-frame\n".  The payload is the FleetPartial::Serialize() text of
-/// exactly that one shard.
-std::string EncodeFleetFrame(std::size_t shard, const std::string& payload);
+/// What the worker's run of one shard cost, carried in the frame header
+/// beside the payload so the coordinator can show where worker time went.
+struct FleetFrameCounters {
+  std::uint64_t lanes_synthesized = 0;  ///< trace-cache misses of the run.
+  double synth_seconds = 0.0;           ///< the run's synthesis wall time.
+  double sim_seconds = 0.0;             ///< the run's simulation wall time.
+};
+
+/// One data-plane frame: "frame <shard> <bytes> <checksum> <lanes>
+/// <synth_s> <sim_s>\n" + payload + "end-frame\n".  The payload is the
+/// FleetPartial::Serialize() text of exactly that one shard; the seconds
+/// are hexfloats.
+std::string EncodeFleetFrame(std::size_t shard, const std::string& payload,
+                             const FleetFrameCounters& counters);
+
+/// Largest payload a frame header may announce.  A bigger count is a lie,
+/// never a reason to buffer that many bytes.
+inline constexpr std::uint64_t kMaxFleetFrameBytes = std::uint64_t{1} << 30;
+
+/// A parsed frame header line.
+struct FleetFrameHeader {
+  std::size_t shard = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t checksum = 0;
+  FleetFrameCounters counters;
+};
+
+/// Parses the header line EncodeFleetFrame writes (without its newline).
+/// nullopt on any malformed field, trailing text, or a byte count above
+/// kMaxFleetFrameBytes.
+[[nodiscard]] std::optional<FleetFrameHeader> ParseFleetFrameHeader(
+    std::string_view line);
 
 // ---- Coordinator ---------------------------------------------------------
 
@@ -117,6 +157,11 @@ struct FleetCoordOptions {
   std::function<void(std::size_t spawn, long pid)> on_spawn;
 };
 
+/// The plan's shards grouped by the weather-lane set they read; groups
+/// and the shards within each are in plan order of first appearance.  The
+/// coordinator's unit of dispatch.
+std::vector<std::vector<std::size_t>> BuildLaneGroups(const ShardPlan& plan);
+
 /// What the control loop saw; for logs, tests, and the demo.
 struct FleetCoordStats {
   std::size_t workers_spawned = 0;   ///< including replacements.
@@ -126,7 +171,22 @@ struct FleetCoordStats {
   std::size_t shards_reassigned = 0;
   std::size_t frames_accepted = 0;
   std::size_t duplicate_frames = 0;  ///< valid frames for covered shards.
-  std::size_t corrupt_frames = 0;    ///< checksum/parse failures.
+  std::size_t corrupt_frames = 0;    ///< header/checksum/parse failures.
+  /// Worker counters from the frame headers, summed over ACCEPTED frames
+  /// only.  lanes_synthesized is the campaign's total lane syntheses
+  /// across all workers: plan.lanes.size() when nothing is duplicated.
+  std::size_t lanes_synthesized = 0;
+  double worker_synth_seconds = 0.0;
+  double worker_sim_seconds = 0.0;
+  /// Lane groups split so an idle worker could take a back half.
+  std::size_t group_splits = 0;
+  /// The dispatch log's lane ledger: lanes the split-off pieces handed to
+  /// workers that had not been handed them before.  In a fault-free run
+  /// whose groups read disjoint lane sets, lanes_synthesized is exactly
+  /// plan.lanes.size() + split_lanes.
+  std::size_t split_lanes = 0;
+  /// Accepted frames per spawn id (index == spawn).
+  std::vector<std::size_t> frames_per_spawn;
 };
 
 /// Runs the campaign across `options.workers` worker processes and merges

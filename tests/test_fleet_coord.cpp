@@ -4,7 +4,10 @@
 // shep_fleet_worker binary — the acceptance pins: a 4-worker campaign
 // merges bit-identical to single-process RunFleet, and stays bit-identical
 // when workers are SIGKILLed, die mid-campaign, stream corrupt frames, or
-// hang while heartbeating (every fault path ends in reassignment).
+// hang while heartbeating (every fault path ends in reassignment).  The
+// lane-grouped dispatch is pinned by an exact ledger: the lanes workers
+// report synthesizing must equal what the coordinator's own dispatch log
+// says it handed out.
 #include "fleet/coord.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +16,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -54,6 +59,32 @@ ScenarioSpec CoordSpec() {
 
 constexpr std::size_t kShardSize = 3;
 
+/// CoordSpec with 12 replicas per cell: every shard reads one replica
+/// block of one site, so the plan has 2 sites x 4 blocks = 8 lane groups
+/// of 6 shards each, reading disjoint 3-lane sets.
+ScenarioSpec GroupedSpec() {
+  ScenarioSpec spec = CoordSpec();
+  spec.name = "grouped";
+  spec.nodes_per_cell = 12;
+  return spec;
+}
+
+/// One site and one replica block: 6 shards that all read the same 3
+/// lanes, i.e. a single lane group.
+ScenarioSpec SingleGroupSpec() {
+  ScenarioSpec spec = CoordSpec();
+  spec.name = "single_group";
+  spec.sites = {"HSU"};
+  spec.nodes_per_cell = 3;
+  return spec;
+}
+
+FleetSummary RunMonolithic(const ScenarioSpec& spec) {
+  FleetRunOptions options;
+  options.shard_size = kShardSize;
+  return RunFleet(spec, options);
+}
+
 void ExpectSummaryBitIdentical(const FleetSummary& a, const FleetSummary& b) {
   ASSERT_EQ(a.stats.size(), b.stats.size());
   for (std::size_t i = 0; i < a.stats.size(); ++i) {
@@ -68,11 +99,7 @@ void ExpectSummaryBitIdentical(const FleetSummary& a, const FleetSummary& b) {
 }
 
 const FleetSummary& Monolithic() {
-  static const FleetSummary summary = [] {
-    FleetRunOptions options;
-    options.shard_size = kShardSize;
-    return RunFleet(CoordSpec(), options);
-  }();
+  static const FleetSummary summary = RunMonolithic(CoordSpec());
   return summary;
 }
 
@@ -195,20 +222,78 @@ TEST(FleetProtocol, JobRoundTripsAndFramesChecksum) {
       EncodeFleetJob(job).substr(0, 120));
   EXPECT_THROW(ParseFleetJob(truncated), std::invalid_argument);
 
-  // Frame: header names the shard, the byte count, and an FNV-1a 64 that
-  // actually covers the payload.
+  // Frame: header names the shard, the byte count, an FNV-1a 64 that
+  // actually covers the payload, and the worker's counters (seconds as
+  // exact hexfloats).
   const std::string payload = "shep-fleet-partial payload\n";
-  const std::string frame = EncodeFleetFrame(7, payload);
-  std::istringstream fin(frame);
-  std::string word;
-  std::uint64_t shard = 0, bytes = 0, checksum = 0;
-  fin >> word >> shard >> bytes >> checksum;
-  EXPECT_EQ(word, "frame");
-  EXPECT_EQ(shard, 7u);
-  EXPECT_EQ(bytes, payload.size());
-  EXPECT_EQ(checksum, FleetFrameChecksum(payload));
+  FleetFrameCounters counters;
+  counters.lanes_synthesized = 8;
+  counters.synth_seconds = 0.1;
+  counters.sim_seconds = 1.0 / 3.0;
+  const std::string frame = EncodeFleetFrame(7, payload, counters);
+  const std::string header_line = frame.substr(0, frame.find('\n'));
+  const std::optional<FleetFrameHeader> header =
+      ParseFleetFrameHeader(header_line);
+  ASSERT_TRUE(header.has_value()) << header_line;
+  EXPECT_EQ(header->shard, 7u);
+  EXPECT_EQ(header->bytes, payload.size());
+  EXPECT_EQ(header->checksum, FleetFrameChecksum(payload));
+  EXPECT_EQ(header->counters.lanes_synthesized, 8u);
+  EXPECT_EQ(header->counters.synth_seconds, 0.1);
+  EXPECT_EQ(header->counters.sim_seconds, 1.0 / 3.0);
+  EXPECT_EQ(frame.substr(header_line.size() + 1, payload.size()), payload);
   EXPECT_NE(FleetFrameChecksum(payload), FleetFrameChecksum("x" + payload));
   EXPECT_NE(frame.find("end-frame\n"), std::string::npos);
+
+  // Malformed headers: missing counters, trailing text, a negative or
+  // non-numeric field, and a byte count no honest frame can have.
+  EXPECT_FALSE(ParseFleetFrameHeader("frame 7 27 123"));
+  EXPECT_FALSE(ParseFleetFrameHeader(header_line + " 9"));
+  EXPECT_FALSE(ParseFleetFrameHeader("frame -7 27 123 8 0x0p+0 0x0p+0"));
+  EXPECT_FALSE(ParseFleetFrameHeader("frame 7 27 123 8 fast 0x0p+0"));
+  EXPECT_FALSE(ParseFleetFrameHeader("frame 3 99999999999999 0 0 0 0"));
+  EXPECT_TRUE(ParseFleetFrameHeader(
+      "frame 3 " + std::to_string(kMaxFleetFrameBytes) + " 0 0 0 0"));
+}
+
+TEST(FleetDispatch, LaneGroupsFollowTheLanesEachShardReads) {
+  // CoordSpec's 3-node shards straddle cells but never sites: one group
+  // per site, in plan order.
+  const ShardPlan coord = BuildShardPlan(CoordSpec(), kShardSize);
+  EXPECT_EQ(BuildLaneGroups(coord),
+            (std::vector<std::vector<std::size_t>>{{0, 1, 2, 3},
+                                                   {4, 5, 6, 7}}));
+
+  // GroupedSpec: 8 groups of 6, groups in order of first appearance, and
+  // every shard of a group reads the same lanes.
+  const ShardPlan plan = BuildShardPlan(GroupedSpec(), kShardSize);
+  const std::vector<std::vector<std::size_t>> groups = BuildLaneGroups(plan);
+  auto lanes_of = [&plan](std::size_t shard) {
+    std::set<std::size_t> lanes;
+    const ShardRange& range = plan.shards[shard];
+    for (std::size_t i = range.begin_node; i < range.end_node; ++i) {
+      lanes.insert(plan.matrix.trace_lane(plan.matrix.nodes[i]));
+    }
+    return lanes;
+  };
+  ASSERT_EQ(groups.size(), 8u);
+  std::size_t covered = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    ASSERT_EQ(groups[g].size(), 6u);
+    if (g > 0) {
+      EXPECT_LT(groups[g - 1].front(), groups[g].front());
+    }
+    EXPECT_EQ(lanes_of(groups[g].front()).size(), 3u);
+    for (std::size_t shard : groups[g]) {
+      EXPECT_EQ(lanes_of(shard), lanes_of(groups[g].front())) << shard;
+    }
+    covered += groups[g].size();
+  }
+  EXPECT_EQ(covered, plan.shards.size());
+
+  EXPECT_EQ(BuildLaneGroups(BuildShardPlan(SingleGroupSpec(), kShardSize))
+                .size(),
+            1u);
 }
 
 // ---- The real multi-process runtime --------------------------------------
@@ -244,9 +329,7 @@ TEST(RunFleetCoordinated, FaultedCampaignMergesBitIdentically) {
   spec.faults.panel_decay_per_day = 0.001;
   spec.faults.battery_aging_per_day = 0.002;
 
-  FleetRunOptions mono_options;
-  mono_options.shard_size = kShardSize;
-  const FleetSummary mono = RunFleet(spec, mono_options);
+  const FleetSummary mono = RunMonolithic(spec);
 
   FleetCoordStats stats;
   const FleetSummary summary =
@@ -295,10 +378,13 @@ TEST(RunFleetCoordinated, SurvivesWorkersDyingMidCampaign) {
 
 TEST(RunFleetCoordinated, RejectsCorruptFramesAndReassigns) {
   SHEP_SKIP_WITHOUT_WORKER();
-  for (const char* flag : {"--corrupt-frame", "--garble-frame"}) {
+  for (const char* flag :
+       {"--corrupt-frame", "--garble-frame", "--garble-header"}) {
     FleetCoordOptions options = BaseOptions();
     // Each spawn's SECOND frame lies (bad checksum / unparseable payload
-    // behind a valid checksum); the first succeeds so the run progresses.
+    // behind a valid checksum / a ~100 TB byte count the coordinator must
+    // neither buffer nor crash on); the first succeeds so the run
+    // progresses.
     options.worker_args = {flag, "2"};
     FleetCoordStats stats;
     const FleetSummary summary =
@@ -321,6 +407,78 @@ TEST(RunFleetCoordinated, KillsHeartbeatingStragglersOnShardDeadline) {
       RunFleetCoordinated(CoordSpec(), options, &stats);
   ExpectSummaryBitIdentical(summary, Monolithic());
   EXPECT_GE(stats.workers_killed, 1u);
+  EXPECT_GE(stats.shards_reassigned, 1u);
+}
+
+TEST(RunFleetCoordinated, OneWorkerSynthesizesEveryLaneExactlyOnce) {
+  SHEP_SKIP_WITHOUT_WORKER();
+  FleetCoordOptions options = BaseOptions();
+  options.workers = 1;
+  FleetCoordStats stats;
+  const FleetSummary summary =
+      RunFleetCoordinated(GroupedSpec(), options, &stats);
+  ExpectSummaryBitIdentical(summary, RunMonolithic(GroupedSpec()));
+  const ShardPlan plan = BuildShardPlan(GroupedSpec(), kShardSize);
+  EXPECT_EQ(stats.lanes_synthesized, plan.lanes.size());
+  EXPECT_EQ(stats.group_splits, 0u);
+  EXPECT_EQ(stats.split_lanes, 0u);
+  EXPECT_EQ(stats.frames_per_spawn,
+            std::vector<std::size_t>{plan.shards.size()});
+  EXPECT_GT(stats.worker_synth_seconds, 0.0);
+  EXPECT_GT(stats.worker_sim_seconds, 0.0);
+}
+
+TEST(RunFleetCoordinated, FourWorkersSynthesizeEachLaneOncePlusSplitPieces) {
+  SHEP_SKIP_WITHOUT_WORKER();
+  FleetCoordStats stats;
+  const FleetSummary summary =
+      RunFleetCoordinated(GroupedSpec(), BaseOptions(), &stats);
+  ExpectSummaryBitIdentical(summary, RunMonolithic(GroupedSpec()));
+  const ShardPlan plan = BuildShardPlan(GroupedSpec(), kShardSize);
+  ASSERT_EQ(stats.workers_died + stats.workers_killed, 0u)
+      << "the ledger is exact only for a fault-free run";
+  // Each group's lanes are synthesized by the worker that started it;
+  // only a split-off piece handed to a worker new to those lanes costs
+  // extra, and the coordinator's dispatch log counts exactly those.
+  EXPECT_EQ(stats.lanes_synthesized, plan.lanes.size() + stats.split_lanes);
+  EXPECT_LT(stats.lanes_synthesized, 2 * plan.lanes.size());
+  EXPECT_LE(stats.split_lanes, 3 * stats.group_splits);
+  EXPECT_EQ(stats.frames_accepted, plan.shards.size());
+  std::size_t frames = 0;
+  for (std::size_t n : stats.frames_per_spawn) frames += n;
+  EXPECT_EQ(frames, plan.shards.size());
+}
+
+TEST(RunFleetCoordinated, SingleGroupCampaignStillSpreadsAcrossWorkers) {
+  SHEP_SKIP_WITHOUT_WORKER();
+  // One lane group, four workers: without the tail split, one worker
+  // would run the whole campaign while three sat idle.
+  FleetCoordStats stats;
+  const FleetSummary summary =
+      RunFleetCoordinated(SingleGroupSpec(), BaseOptions(), &stats);
+  ExpectSummaryBitIdentical(summary, RunMonolithic(SingleGroupSpec()));
+  EXPECT_GE(stats.group_splits, 1u);
+  std::size_t spawns_with_frames = 0;
+  for (std::size_t n : stats.frames_per_spawn) {
+    if (n > 0) ++spawns_with_frames;
+  }
+  EXPECT_GE(spawns_with_frames, 2u);
+}
+
+TEST(RunFleetCoordinated, RequeuedLaneGroupsMergeBitIdentically) {
+  SHEP_SKIP_WITHOUT_WORKER();
+  FleetCoordOptions options = BaseOptions();
+  // Every spawn dies after 3 frames, leaving in-flight shards and an
+  // undispatched rest that go back to the queue as one group.
+  options.worker_args = {"--die-after-frames", "3"};
+  options.max_respawns = 64;
+  FleetCoordStats stats;
+  const FleetSummary summary =
+      RunFleetCoordinated(GroupedSpec(), options, &stats);
+  ExpectSummaryBitIdentical(summary, RunMonolithic(GroupedSpec()));
+  const ShardPlan plan = BuildShardPlan(GroupedSpec(), kShardSize);
+  EXPECT_EQ(stats.frames_accepted, plan.shards.size());
+  EXPECT_GE(stats.workers_died, 1u);
   EXPECT_GE(stats.shards_reassigned, 1u);
 }
 

@@ -5,7 +5,8 @@
 // text + shard size), rebuilds the shard plan and proves identity by
 // checking its fingerprint against the job's, then serves "run <shard>"
 // commands: each shard runs through the ordinary RunFleetShards and goes
-// back as one checksummed frame of FleetPartial::Serialize() text.  A
+// back as one checksummed frame of FleetPartial::Serialize() text, its
+// header carrying the run's lane syntheses and phase seconds.  A
 // heartbeat thread keeps a line flowing so the coordinator can tell a
 // busy worker from a dead one.
 //
@@ -17,6 +18,8 @@
 //                          is computed (framing lies — checksum fails).
 //   --garble-frame N       Nth frame: payload garbled BEFORE the checksum
 //                          (framing honest — FleetPartial::Parse fails).
+//   --garble-header N      Nth frame: header announces an absurd byte
+//                          count (the coordinator must not buffer it).
 //   --hang-after-frames N  after N frames, heartbeat forever but answer
 //                          nothing (the straggler the shard deadline
 //                          exists for).
@@ -92,6 +95,7 @@ struct FaultFlags {
   std::size_t die_after_frames = 0;   ///< 0 = never.
   std::size_t corrupt_frame = 0;      ///< 1-based frame index; 0 = never.
   std::size_t garble_frame = 0;       ///< 1-based frame index; 0 = never.
+  std::size_t garble_header = 0;      ///< 1-based frame index; 0 = never.
   std::size_t hang_after_frames = 0;  ///< 0 = never.
 };
 
@@ -116,6 +120,8 @@ FaultFlags ParseArgs(int argc, char** argv) {
       flags.corrupt_frame = value();
     } else if (arg == "--garble-frame") {
       flags.garble_frame = value();
+    } else if (arg == "--garble-header") {
+      flags.garble_header = value();
     } else if (arg == "--hang-after-frames") {
       flags.hang_after_frames = value();
     } else {
@@ -193,28 +199,35 @@ int main(int argc, char** argv) {
     }
 
     std::string payload;
+    shep::FleetRunStats run_stats;
     try {
       const shep::FleetPartial partial = shep::RunFleetShards(
-          plan, {static_cast<std::size_t>(*shard)}, run_options);
+          plan, {static_cast<std::size_t>(*shard)}, run_options, &run_stats);
       payload = partial.Serialize();
     } catch (const std::exception& e) {
       Fail(e.what());
     }
+    shep::FleetFrameCounters counters;
+    counters.lanes_synthesized = run_stats.trace_cache_misses;
+    counters.synth_seconds = run_stats.synth_seconds;
+    counters.sim_seconds = run_stats.sim_seconds;
 
     const std::size_t frame_index = frames_written + 1;
-    std::string frame;
     if (flags.garble_frame == frame_index) {
       payload[0] = '#';  // honest checksum over an unparseable payload.
-      frame = shep::EncodeFleetFrame(static_cast<std::size_t>(*shard),
-                                     payload);
-    } else {
-      frame = shep::EncodeFleetFrame(static_cast<std::size_t>(*shard),
-                                     payload);
-      if (flags.corrupt_frame == frame_index) {
-        // Garble the payload INSIDE the already-checksummed frame: the
-        // header's byte count still matches, the checksum does not.
-        frame[frame.find('\n') + 1] = '#';
-      }
+    }
+    std::string frame = shep::EncodeFleetFrame(
+        static_cast<std::size_t>(*shard), payload, counters);
+    if (flags.corrupt_frame == frame_index) {
+      // Garble the payload INSIDE the already-checksummed frame: the
+      // header's byte count still matches, the checksum does not.
+      frame[frame.find('\n') + 1] = '#';
+    }
+    if (flags.garble_header == frame_index) {
+      // "frame <shard> <bytes> ..." with <bytes> swapped for ~100 TB.
+      const std::size_t count_at = frame.find(' ', 6) + 1;
+      frame.replace(count_at, frame.find(' ', count_at) - count_at,
+                    "99999999999999");
     }
     WriteOut(frame);
     ++frames_written;
