@@ -2,7 +2,7 @@
 // prediction algorithm", plus the Fig. 5 wake-up sequence.
 //
 // The paper measured an MSP430F1611 at 3 V / 5 MHz.  Here the same numbers
-// come from the hardware model (DESIGN.md §2): the ADC sample cost is
+// come from the hardware model (src/hw/): the ADC sample cost is
 // Vref-settle dominated; the prediction cost is measured two independent
 // ways — (a) operation counts of the fixed-point predictor run over a real
 // trace, and (b) executing the prediction routine on the cycle-counted

@@ -45,7 +45,7 @@ struct WcmaParams {
 };
 
 /// Conditioning-weight profiles.  The paper uses the ramp θ(k)=k/K (Eq. 5);
-/// the uniform variant exists for the ablation called out in DESIGN.md §5.
+/// the uniform variant exists for ablation A of bench/repro_ablation.cpp.
 enum class WcmaWeighting {
   kRamp,     ///< θ(k) = k/K (paper).
   kUniform,  ///< θ(k) = 1.

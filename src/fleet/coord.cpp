@@ -92,15 +92,10 @@ std::uint64_t FleetFrameChecksum(std::string_view payload) {
 }
 
 std::string EncodeFleetFrame(std::size_t shard, const std::string& payload,
-                             const FleetFrameCounters& counters) {
+                             std::uint64_t lanes_synthesized) {
   std::ostringstream os;
   os << "frame " << shard << ' ' << payload.size() << ' '
-     << FleetFrameChecksum(payload) << ' ' << counters.lanes_synthesized
-     << ' ';
-  serdes::WriteDouble(os, counters.synth_seconds);
-  os << ' ';
-  serdes::WriteDouble(os, counters.sim_seconds);
-  os << '\n';
+     << FleetFrameChecksum(payload) << ' ' << lanes_synthesized << '\n';
   os << payload;
   os << "end-frame\n";
   return os.str();
@@ -114,9 +109,7 @@ std::optional<FleetFrameHeader> ParseFleetFrameHeader(std::string_view line) {
     header.shard = static_cast<std::size_t>(serdes::ReadU64(in));
     header.bytes = serdes::ReadU64(in);
     header.checksum = serdes::ReadU64(in);
-    header.counters.lanes_synthesized = serdes::ReadU64(in);
-    header.counters.synth_seconds = serdes::ReadDouble(in);
-    header.counters.sim_seconds = serdes::ReadDouble(in);
+    header.lanes_synthesized = serdes::ReadU64(in);
   } catch (const std::invalid_argument&) {
     return std::nullopt;
   }
@@ -227,7 +220,7 @@ struct WorkerProc {
   std::thread reader;
 
   // Guarded by the coordinator mutex:
-  bool alive = true;    ///< reader thread still streaming.
+  bool alive = true;    ///< streaming, and its stdin still takes writes.
   bool faulty = false;  ///< sent a corrupt frame; must be killed.
   bool reaped = false;
   Clock::time_point last_activity;
@@ -322,16 +315,16 @@ void ReaderMain(CoordState& state, WorkerProc& worker) {
       continue;
     }
     state.shard_state[shard] = ShardState::kDone;
-    state.partials[shard] = std::move(partial);
-    state.winning_spawn[shard] = worker.spawn;
-    ++state.done;
     FleetCoordStats& stats = state.stats;
     ++stats.frames_accepted;
     ++stats.frames_per_spawn[worker.spawn];
     stats.lanes_synthesized +=
-        static_cast<std::size_t>(header->counters.lanes_synthesized);
-    stats.worker_synth_seconds += header->counters.synth_seconds;
-    stats.worker_sim_seconds += header->counters.sim_seconds;
+        static_cast<std::size_t>(header->lanes_synthesized);
+    stats.worker_synth_seconds += partial->synth_seconds;
+    stats.worker_sim_seconds += partial->sim_seconds;
+    state.partials[shard] = std::move(partial);
+    state.winning_spawn[shard] = worker.spawn;
+    ++state.done;
     state.cv.notify_all();
   }
   std::lock_guard<std::mutex> lock(state.mutex);
@@ -676,7 +669,10 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
           const bool sent_ok = WriteAll(fd, command);
           lock.lock();
           if (!sent_ok) {
-            worker->faulty = true;  // EPIPE: reaped next iteration.
+            // EPIPE: the worker is already gone (its reader just has not
+            // seen the EOF yet), so it is reaped next iteration as a
+            // death, not as a kill.
+            worker->alive = false;
             break;
           }
         }

@@ -87,20 +87,13 @@ std::string EncodeFleetJob(const FleetWorkerJob& job);
 /// FNV-1a 64 over the payload bytes; the frame checksum.
 std::uint64_t FleetFrameChecksum(std::string_view payload);
 
-/// What the worker's run of one shard cost, carried in the frame header
-/// beside the payload so the coordinator can show where worker time went.
-struct FleetFrameCounters {
-  std::uint64_t lanes_synthesized = 0;  ///< trace-cache misses of the run.
-  double synth_seconds = 0.0;           ///< the run's synthesis wall time.
-  double sim_seconds = 0.0;             ///< the run's simulation wall time.
-};
-
-/// One data-plane frame: "frame <shard> <bytes> <checksum> <lanes>
-/// <synth_s> <sim_s>\n" + payload + "end-frame\n".  The payload is the
-/// FleetPartial::Serialize() text of exactly that one shard; the seconds
-/// are hexfloats.
+/// One data-plane frame: "frame <shard> <bytes> <checksum> <lanes>\n" +
+/// payload + "end-frame\n".  The payload is the FleetPartial::Serialize()
+/// text of exactly that one shard (its phase seconds included); <lanes> is
+/// the worker's trace-cache misses for the run, which the payload does not
+/// carry.
 std::string EncodeFleetFrame(std::size_t shard, const std::string& payload,
-                             const FleetFrameCounters& counters);
+                             std::uint64_t lanes_synthesized);
 
 /// Largest payload a frame header may announce.  A bigger count is a lie,
 /// never a reason to buffer that many bytes.
@@ -111,7 +104,7 @@ struct FleetFrameHeader {
   std::size_t shard = 0;
   std::uint64_t bytes = 0;
   std::uint64_t checksum = 0;
-  FleetFrameCounters counters;
+  std::uint64_t lanes_synthesized = 0;
 };
 
 /// Parses the header line EncodeFleetFrame writes (without its newline).
@@ -172,9 +165,10 @@ struct FleetCoordStats {
   std::size_t frames_accepted = 0;
   std::size_t duplicate_frames = 0;  ///< valid frames for covered shards.
   std::size_t corrupt_frames = 0;    ///< header/checksum/parse failures.
-  /// Worker counters from the frame headers, summed over ACCEPTED frames
-  /// only.  lanes_synthesized is the campaign's total lane syntheses
-  /// across all workers: plan.lanes.size() when nothing is duplicated.
+  /// Worker counters (lanes from the frame headers, seconds from the
+  /// payloads), summed over ACCEPTED frames only.  lanes_synthesized is
+  /// the campaign's total lane syntheses across all workers:
+  /// plan.lanes.size() when nothing is duplicated.
   std::size_t lanes_synthesized = 0;
   double worker_synth_seconds = 0.0;
   double worker_sim_seconds = 0.0;

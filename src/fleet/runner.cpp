@@ -267,7 +267,7 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
   const double sim_seconds = SecondsSince(t0);
   // Drain everything before reporting so trace files and counters cover
   // the whole run; deliberately outside the sim_seconds window (the
-  // in-loop cost of tracing is what bench_fleet prices).
+  // in-loop cost of tracing is what perfbench's fleet_telemetry prices).
   if (sink != nullptr) sink->Flush();
 
   partial.nodes_simulated = 0;

@@ -44,15 +44,17 @@ namespace shep {
 struct TraceSinkOptions {
   /// Where per-shard trace files land; created if missing.  Empty keeps
   /// the whole pipeline running but skips the file writes — the mode
-  /// bench_fleet uses to price tracing overhead without disk noise.
+  /// perfbench's fleet_telemetry workload uses to price tracing overhead
+  /// without disk noise.
   std::string directory;
   /// Per-worker ring capacity in events (rounded up to a power of two).
   std::size_t ring_capacity = 1 << 14;
   /// When true, probes spin-yield on a full ring instead of dropping the
   /// event.  Default off: production tracing never blocks the simulation
-  /// (a full ring drops AND counts).  bench_fleet turns it on so the
-  /// traced run it prices is complete — a drain briefly lagging sixteen
-  /// hot producers shows up as measured backpressure, not missing events.
+  /// (a full ring drops AND counts).  perfbench's fleet_telemetry
+  /// workload turns it on so the traced run it prices is complete — a
+  /// drain briefly lagging its producers shows up as measured
+  /// backpressure, not missing events.
   bool block_on_full = false;
   /// How long the drain sleeps when every ring comes up empty.
   std::uint32_t drain_idle_micros = 200;

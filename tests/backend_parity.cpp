@@ -1,4 +1,4 @@
-#include "fleet/parity.hpp"
+#include "backend_parity.hpp"
 
 #include <algorithm>
 #include <map>

@@ -1,4 +1,4 @@
-// parity.hpp — differential backend-parity measurement.
+// backend_parity.hpp — differential backend-parity measurement.
 //
 // The three WCMA backends (double-precision core/Wcma, Q16.16
 // core/FixedWcma, MicroVm-executed hw/VmWcmaPredictor) claim to be the same
@@ -17,7 +17,7 @@
 //    is paired per site, matched cells faced identical draws, so the
 //    per-cell MAPE delta isolates the backend, not sampling noise.
 //
-// tests/test_backend_parity.cpp pins the bounds.
+// test_backend_parity.cpp, its only user, pins the bounds.
 #pragma once
 
 #include <cmath>

@@ -6,13 +6,14 @@
 // (MAPE delta on paired fleet weather) — and pin the runner's core
 // invariant for the new backends: summaries, including the MCU-cost
 // aggregates, are bit-identical at any thread count.
-#include "fleet/parity.hpp"
+#include "backend_parity.hpp"
 
 #include <gtest/gtest.h>
 
 #include "common/threadpool.hpp"
 #include "core/wcma.hpp"
 #include "fleet/runner.hpp"
+#include "fleet_summary_expect.hpp"
 #include "hw/costed_fixed.hpp"
 #include "hw/vm_predictor.hpp"
 #include "solar/sites.hpp"
@@ -173,25 +174,7 @@ TEST(BackendParity, CostAggregatesBitIdenticalAcrossThreadCounts) {
   options.shard_size = 3;
   const FleetSummary pooled = RunFleet(spec, options);
 
-  ASSERT_EQ(serial.stats.size(), pooled.stats.size());
-  for (std::size_t i = 0; i < serial.stats.size(); ++i) {
-    const CellAccumulator& a = serial.stats[i];
-    const CellAccumulator& b = pooled.stats[i];
-    EXPECT_EQ(a.nodes(), b.nodes());
-    EXPECT_EQ(a.has_compute_cost(), b.has_compute_cost());
-    // Bit-identical, not merely close: EXPECT_EQ on doubles.
-    EXPECT_EQ(a.mape.mean, b.mape.mean);
-    EXPECT_EQ(a.cycles_per_wakeup.count, b.cycles_per_wakeup.count);
-    EXPECT_EQ(a.cycles_per_wakeup.mean, b.cycles_per_wakeup.mean);
-    EXPECT_EQ(a.cycles_per_wakeup.m2, b.cycles_per_wakeup.m2);
-    EXPECT_EQ(a.cycles_per_wakeup.min, b.cycles_per_wakeup.min);
-    EXPECT_EQ(a.cycles_per_wakeup.max, b.cycles_per_wakeup.max);
-    EXPECT_EQ(a.ops_per_wakeup.mean, b.ops_per_wakeup.mean);
-    EXPECT_EQ(a.ops_per_wakeup.m2, b.ops_per_wakeup.m2);
-    EXPECT_EQ(a.cycles_hist.bins(), b.cycles_hist.bins());
-  }
-  EXPECT_EQ(serial.ToCsv(), pooled.ToCsv());
-  EXPECT_EQ(serial.ToTable(), pooled.ToTable());
+  ExpectSummaryBitIdentical(pooled, serial);
 }
 
 }  // namespace

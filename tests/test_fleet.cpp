@@ -12,6 +12,7 @@
 #include "common/threadpool.hpp"
 #include "fleet/aggregate.hpp"
 #include "fleet/scenario.hpp"
+#include "fleet_summary_expect.hpp"
 
 namespace shep {
 namespace {
@@ -358,25 +359,7 @@ TEST(RunFleet, SummaryBitIdenticalAcrossThreadCounts) {
   const FleetSummary pooled = RunFleet(spec, options, &pooled_info);
   EXPECT_EQ(pooled_info.threads, 4u);
 
-  ASSERT_EQ(serial.stats.size(), pooled.stats.size());
-  for (std::size_t i = 0; i < serial.stats.size(); ++i) {
-    const CellAccumulator& a = serial.stats[i];
-    const CellAccumulator& b = pooled.stats[i];
-    EXPECT_EQ(a.nodes(), b.nodes());
-    EXPECT_EQ(a.violations, b.violations);
-    EXPECT_EQ(a.scored_slots, b.scored_slots);
-    EXPECT_EQ(a.violation_hist.bins(), b.violation_hist.bins());
-    // Bit-identical, not merely close: EXPECT_EQ on doubles.
-    EXPECT_EQ(a.violation_rate.mean, b.violation_rate.mean);
-    EXPECT_EQ(a.violation_rate.m2, b.violation_rate.m2);
-    EXPECT_EQ(a.mean_duty.mean, b.mean_duty.mean);
-    EXPECT_EQ(a.wasted_fraction.mean, b.wasted_fraction.mean);
-    EXPECT_EQ(a.mape.mean, b.mape.mean);
-    EXPECT_EQ(a.violation_rate.min, b.violation_rate.min);
-    EXPECT_EQ(a.violation_rate.max, b.violation_rate.max);
-  }
-  EXPECT_EQ(serial.ToCsv(), pooled.ToCsv());
-  EXPECT_EQ(serial.ToTable(), pooled.ToTable());
+  ExpectSummaryBitIdentical(pooled, serial);
 }
 
 TEST(RunFleet, EveryCellIsPopulated) {

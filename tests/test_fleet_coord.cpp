@@ -1,8 +1,8 @@
 // Tests for the multi-process fleet coordinator (fleet/coord.hpp): the
 // wire protocol (job + frame serde), the ScenarioSpec text form that
 // carries campaigns across the process boundary, and — against the real
-// shep_fleet_worker binary — the acceptance pins: a 4-worker campaign
-// merges bit-identical to single-process RunFleet, and stays bit-identical
+// shep_fleet_worker binary — the acceptance pins: 2- and 4-worker
+// campaigns merge bit-identical to single-process RunFleet, and stay so
 // when workers are SIGKILLed, die mid-campaign, stream corrupt frames, or
 // hang while heartbeating (every fault path ends in reassignment).  The
 // lane-grouped dispatch is pinned by an exact ledger: the lanes workers
@@ -25,6 +25,7 @@
 
 #include "fleet/runner.hpp"
 #include "fleet/shard_plan.hpp"
+#include "fleet_summary_expect.hpp"
 #include "trace/sink.hpp"
 #include "trace/trace_file.hpp"
 
@@ -83,19 +84,6 @@ FleetSummary RunMonolithic(const ScenarioSpec& spec) {
   FleetRunOptions options;
   options.shard_size = kShardSize;
   return RunFleet(spec, options);
-}
-
-void ExpectSummaryBitIdentical(const FleetSummary& a, const FleetSummary& b) {
-  ASSERT_EQ(a.stats.size(), b.stats.size());
-  for (std::size_t i = 0; i < a.stats.size(); ++i) {
-    EXPECT_EQ(a.stats[i].violation_rate.mean, b.stats[i].violation_rate.mean);
-    EXPECT_EQ(a.stats[i].violation_rate.m2, b.stats[i].violation_rate.m2);
-    EXPECT_EQ(a.stats[i].min_soc.min, b.stats[i].min_soc.min);
-    EXPECT_EQ(a.stats[i].violations, b.stats[i].violations);
-    EXPECT_EQ(a.stats[i].scored_slots, b.stats[i].scored_slots);
-  }
-  EXPECT_EQ(a.ToTable(), b.ToTable());
-  EXPECT_EQ(a.ToCsv(), b.ToCsv());
 }
 
 const FleetSummary& Monolithic() {
@@ -223,37 +211,35 @@ TEST(FleetProtocol, JobRoundTripsAndFramesChecksum) {
   EXPECT_THROW(ParseFleetJob(truncated), std::invalid_argument);
 
   // Frame: header names the shard, the byte count, an FNV-1a 64 that
-  // actually covers the payload, and the worker's counters (seconds as
-  // exact hexfloats).
+  // actually covers the payload, and the worker's lane syntheses.
   const std::string payload = "shep-fleet-partial payload\n";
-  FleetFrameCounters counters;
-  counters.lanes_synthesized = 8;
-  counters.synth_seconds = 0.1;
-  counters.sim_seconds = 1.0 / 3.0;
-  const std::string frame = EncodeFleetFrame(7, payload, counters);
+  const std::string frame = EncodeFleetFrame(7, payload, 8);
   const std::string header_line = frame.substr(0, frame.find('\n'));
+  EXPECT_EQ(header_line, "frame 7 " + std::to_string(payload.size()) + " " +
+                             std::to_string(FleetFrameChecksum(payload)) +
+                             " 8");
   const std::optional<FleetFrameHeader> header =
       ParseFleetFrameHeader(header_line);
   ASSERT_TRUE(header.has_value()) << header_line;
   EXPECT_EQ(header->shard, 7u);
   EXPECT_EQ(header->bytes, payload.size());
   EXPECT_EQ(header->checksum, FleetFrameChecksum(payload));
-  EXPECT_EQ(header->counters.lanes_synthesized, 8u);
-  EXPECT_EQ(header->counters.synth_seconds, 0.1);
-  EXPECT_EQ(header->counters.sim_seconds, 1.0 / 3.0);
+  EXPECT_EQ(header->lanes_synthesized, 8u);
   EXPECT_EQ(frame.substr(header_line.size() + 1, payload.size()), payload);
   EXPECT_NE(FleetFrameChecksum(payload), FleetFrameChecksum("x" + payload));
   EXPECT_NE(frame.find("end-frame\n"), std::string::npos);
 
-  // Malformed headers: missing counters, trailing text, a negative or
-  // non-numeric field, and a byte count no honest frame can have.
+  // Malformed headers: a missing field, trailing text (seconds after the
+  // lane count included), a negative or non-numeric field, and a byte
+  // count no honest frame can have.
   EXPECT_FALSE(ParseFleetFrameHeader("frame 7 27 123"));
   EXPECT_FALSE(ParseFleetFrameHeader(header_line + " 9"));
-  EXPECT_FALSE(ParseFleetFrameHeader("frame -7 27 123 8 0x0p+0 0x0p+0"));
-  EXPECT_FALSE(ParseFleetFrameHeader("frame 7 27 123 8 fast 0x0p+0"));
-  EXPECT_FALSE(ParseFleetFrameHeader("frame 3 99999999999999 0 0 0 0"));
+  EXPECT_FALSE(ParseFleetFrameHeader("frame 7 27 123 8 0x0p+0 0x0p+0"));
+  EXPECT_FALSE(ParseFleetFrameHeader("frame -7 27 123 8"));
+  EXPECT_FALSE(ParseFleetFrameHeader("frame 7 27 123 fast"));
+  EXPECT_FALSE(ParseFleetFrameHeader("frame 3 99999999999999 0 0"));
   EXPECT_TRUE(ParseFleetFrameHeader(
-      "frame 3 " + std::to_string(kMaxFleetFrameBytes) + " 0 0 0 0"));
+      "frame 3 " + std::to_string(kMaxFleetFrameBytes) + " 0 0"));
 }
 
 TEST(FleetDispatch, LaneGroupsFollowTheLanesEachShardReads) {
@@ -298,19 +284,24 @@ TEST(FleetDispatch, LaneGroupsFollowTheLanesEachShardReads) {
 
 // ---- The real multi-process runtime --------------------------------------
 
-TEST(RunFleetCoordinated, FourWorkersMatchSingleProcessBitIdentically) {
+TEST(RunFleetCoordinated, TwoAndFourWorkersMatchSingleProcessBitIdentically) {
   SHEP_SKIP_WITHOUT_WORKER();
-  FleetCoordStats stats;
-  const FleetSummary summary =
-      RunFleetCoordinated(CoordSpec(), BaseOptions(), &stats);
-  ExpectSummaryBitIdentical(summary, Monolithic());
-
   const ShardPlan plan = BuildShardPlan(CoordSpec(), kShardSize);
-  EXPECT_EQ(stats.frames_accepted, plan.shards.size());
-  EXPECT_EQ(stats.workers_spawned, 4u);
-  EXPECT_EQ(stats.workers_died, 0u);
-  EXPECT_EQ(stats.corrupt_frames, 0u);
-  EXPECT_EQ(stats.shards_reassigned, 0u);
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    FleetCoordOptions options = BaseOptions();
+    options.workers = workers;
+    FleetCoordStats stats;
+    const FleetSummary summary =
+        RunFleetCoordinated(CoordSpec(), options, &stats);
+    ExpectSummaryBitIdentical(summary, Monolithic());
+
+    EXPECT_EQ(stats.frames_accepted, plan.shards.size());
+    EXPECT_EQ(stats.workers_spawned, workers);
+    EXPECT_EQ(stats.workers_died, 0u);
+    EXPECT_EQ(stats.corrupt_frames, 0u);
+    EXPECT_EQ(stats.shards_reassigned, 0u);
+  }
 }
 
 TEST(RunFleetCoordinated, FaultedCampaignMergesBitIdentically) {

@@ -20,6 +20,7 @@
 #include "fleet/partial.hpp"
 #include "fleet/shard_plan.hpp"
 #include "fleet/trace_cache.hpp"
+#include "fleet_summary_expect.hpp"
 #include "solar/clearsky.hpp"
 
 namespace shep {
@@ -46,42 +47,6 @@ ScenarioSpec DistributedSpec() {
   spec.node.warmup_days = 20;
   spec.initial_level_jitter = 0.2;
   return spec;
-}
-
-void ExpectMomentsBitIdentical(const StreamingMoments& a,
-                               const StreamingMoments& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.mean, b.mean);
-  EXPECT_EQ(a.m2, b.m2);
-  EXPECT_EQ(a.min, b.min);
-  EXPECT_EQ(a.max, b.max);
-}
-
-void ExpectCellBitIdentical(const CellAccumulator& a,
-                            const CellAccumulator& b) {
-  ExpectMomentsBitIdentical(a.violation_rate, b.violation_rate);
-  ExpectMomentsBitIdentical(a.mean_duty, b.mean_duty);
-  ExpectMomentsBitIdentical(a.wasted_fraction, b.wasted_fraction);
-  ExpectMomentsBitIdentical(a.min_soc, b.min_soc);
-  ExpectMomentsBitIdentical(a.mape, b.mape);
-  ExpectMomentsBitIdentical(a.cycles_per_wakeup, b.cycles_per_wakeup);
-  ExpectMomentsBitIdentical(a.ops_per_wakeup, b.ops_per_wakeup);
-  EXPECT_EQ(a.violation_hist.bins(), b.violation_hist.bins());
-  EXPECT_EQ(a.violation_hist.total(), b.violation_hist.total());
-  EXPECT_EQ(a.violation_hist.nan_count(), b.violation_hist.nan_count());
-  EXPECT_EQ(a.cycles_hist.bins(), b.cycles_hist.bins());
-  EXPECT_EQ(a.cycles_hist.nan_count(), b.cycles_hist.nan_count());
-  EXPECT_EQ(a.violations, b.violations);
-  EXPECT_EQ(a.scored_slots, b.scored_slots);
-}
-
-void ExpectSummaryBitIdentical(const FleetSummary& a, const FleetSummary& b) {
-  ASSERT_EQ(a.stats.size(), b.stats.size());
-  for (std::size_t i = 0; i < a.stats.size(); ++i) {
-    ExpectCellBitIdentical(a.stats[i], b.stats[i]);
-  }
-  EXPECT_EQ(a.ToTable(), b.ToTable());
-  EXPECT_EQ(a.ToCsv(), b.ToCsv());
 }
 
 /// Runs each shard group as its own RunFleetShards call, pushes every

@@ -20,6 +20,7 @@
 #include "fleet/faults.hpp"
 #include "fleet/partial.hpp"
 #include "fleet/runner.hpp"
+#include "fleet_summary_expect.hpp"
 #include "mgmt/node_sim_kernel.hpp"
 #include "solar/sites.hpp"
 #include "solar/synth.hpp"
@@ -371,18 +372,21 @@ constexpr std::array<std::array<std::uint64_t, 4>, 8> kFaultedGoldenTotals{{
 
 TEST(FaultedGolden, SerialPooledAndPartialMergeAreBitIdentical) {
   const ScenarioSpec spec = FaultedScenario();
-  const FleetSummary serial = RunFleet(spec);
+  // Bit-identity holds per shard size (shard boundaries fix the merge
+  // grouping), so every run below shares one.
+  FleetRunOptions serial_options;
+  serial_options.shard_size = 4;
+  const FleetSummary serial = RunFleet(spec, serial_options);
 
   ThreadPool pool;
-  FleetRunOptions pooled_options;
+  FleetRunOptions pooled_options = serial_options;
   pooled_options.pool = &pool;
   const FleetSummary pooled = RunFleet(spec, pooled_options);
-  EXPECT_EQ(pooled.ToCsv(), serial.ToCsv());
-  EXPECT_EQ(pooled.ToTable(), serial.ToTable());
+  ExpectSummaryBitIdentical(pooled, serial);
 
   // Three partial runs, serialized across a pretend process boundary and
   // merged — the distributed path of a faulted campaign.
-  const ShardPlan plan = BuildShardPlan(spec, /*shard_size=*/4);
+  const ShardPlan plan = BuildShardPlan(spec, serial_options.shard_size);
   std::vector<std::vector<std::size_t>> assignment(3);
   for (std::size_t i = 0; i < plan.shards.size(); ++i) {
     assignment[i % 3].push_back(i);
@@ -392,15 +396,7 @@ TEST(FaultedGolden, SerialPooledAndPartialMergeAreBitIdentical) {
     const FleetPartial partial = RunFleetShards(plan, shards, {});
     partials.push_back(FleetPartial::Parse(partial.Serialize()));
   }
-  const FleetSummary merged = MergeFleetPartials(plan, partials);
-  EXPECT_EQ(merged.ToCsv(), serial.ToCsv());
-  EXPECT_EQ(merged.ToTable(), serial.ToTable());
-  for (std::size_t i = 0; i < serial.stats.size(); ++i) {
-    EXPECT_EQ(merged.stats[i].violations, serial.stats[i].violations);
-    EXPECT_EQ(merged.stats[i].scored_slots, serial.stats[i].scored_slots);
-    EXPECT_EQ(merged.stats[i].downtime_slots, serial.stats[i].downtime_slots);
-    EXPECT_EQ(merged.stats[i].recoveries, serial.stats[i].recoveries);
-  }
+  ExpectSummaryBitIdentical(MergeFleetPartials(plan, partials), serial);
 }
 
 TEST(FaultedGolden, CsvMatchesCommittedFixture) {

@@ -349,7 +349,8 @@ TEST(TraceSinkFleet, BlockOnFullTradesDropsForBackpressure) {
   // Same starved configuration as the overflow test — a 16-slot ring and a
   // sleepy drain — but with backpressure on: the probes wait for the drain
   // instead of dropping, so the event stream is complete and the summary
-  // still matches the untraced bytes (the mode bench_fleet prices).
+  // still matches the untraced bytes (the mode perfbench's fleet_telemetry
+  // workload prices).
   const ScenarioSpec spec = TracedSpec();
   const std::string untraced = SummaryBytes(RunFleet(spec));
 

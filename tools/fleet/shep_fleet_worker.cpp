@@ -5,8 +5,8 @@
 // text + shard size), rebuilds the shard plan and proves identity by
 // checking its fingerprint against the job's, then serves "run <shard>"
 // commands: each shard runs through the ordinary RunFleetShards and goes
-// back as one checksummed frame of FleetPartial::Serialize() text, its
-// header carrying the run's lane syntheses and phase seconds.  A
+// back as one checksummed frame of FleetPartial::Serialize() text (phase
+// seconds included), its header carrying the run's lane syntheses.  A
 // heartbeat thread keeps a line flowing so the coordinator can tell a
 // busy worker from a dead one.
 //
@@ -207,17 +207,14 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       Fail(e.what());
     }
-    shep::FleetFrameCounters counters;
-    counters.lanes_synthesized = run_stats.trace_cache_misses;
-    counters.synth_seconds = run_stats.synth_seconds;
-    counters.sim_seconds = run_stats.sim_seconds;
 
     const std::size_t frame_index = frames_written + 1;
     if (flags.garble_frame == frame_index) {
       payload[0] = '#';  // honest checksum over an unparseable payload.
     }
     std::string frame = shep::EncodeFleetFrame(
-        static_cast<std::size_t>(*shard), payload, counters);
+        static_cast<std::size_t>(*shard), payload,
+        run_stats.trace_cache_misses);
     if (flags.corrupt_frame == frame_index) {
       // Garble the payload INSIDE the already-checksummed frame: the
       // header's byte count still matches, the checksum does not.
