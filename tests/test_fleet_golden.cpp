@@ -16,8 +16,11 @@
 
 #include <array>
 #include <cstdint>
+#include <sstream>
 #include <utility>
+#include <vector>
 
+#include "fleet/coord.hpp"
 #include "fleet/runner.hpp"
 
 namespace shep {
@@ -117,6 +120,103 @@ TEST(FleetGolden, IntegerTotalsMatchCommittedFixture) {
         << summary.cells[i].storage_j << ")";
     EXPECT_EQ(summary.stats[i].scored_slots, kGoldenTotals[i].second)
         << "cell " << i;
+  }
+}
+
+// Every PredictorKind in one campaign, healthy and under fault injection.
+// The CSV fixture above covers three kinds at six decimals; this one pins
+// each cell's exact accumulator text (CellAccumulator::Serialize, hexfloat)
+// through its FNV-1a checksum, so a single moved bit in any kind fails.
+// The faulted run re-warms predictors on every outage recovery, which is
+// the Reset() path.  Regenerate like the CSV fixture: print the checksums
+// for this exact spec and justify the diff.
+ScenarioSpec AllKindsSpec(bool faulted) {
+  ScenarioSpec spec;
+  spec.name = "all-kinds";
+  spec.sites = {"HSU"};
+  PredictorSpec base;
+  base.wcma.alpha = 0.7;
+  base.wcma.days = 10;
+  base.wcma.slots_k = 3;
+  base.ewma_weight = 0.5;
+  base.ar.order = 3;
+  base.ar.days = 10;
+  for (PredictorKind kind :
+       {PredictorKind::kWcma, PredictorKind::kWcmaFixed,
+        PredictorKind::kWcmaVm, PredictorKind::kEwma, PredictorKind::kAr,
+        PredictorKind::kAdaptiveWcma, PredictorKind::kPersistence,
+        PredictorKind::kPreviousDay}) {
+    base.kind = kind;
+    spec.predictors.push_back(base);
+  }
+  spec.storage_tiers_j = {3000.0};
+  spec.nodes_per_cell = 2;
+  spec.days = 30;
+  spec.slots_per_day = 48;
+  spec.seed = 2026;
+  spec.node.duty.active_power_w = 0.40;
+  spec.node.warmup_days = 20;
+  spec.initial_level_jitter = 0.2;
+  if (faulted) {
+    spec.faults.outage_rate_per_day = 1.0;
+    spec.faults.outage_mean_slots = 6.0;
+    spec.faults.dropout_rate_per_day = 1.0;
+    spec.faults.dropout_mean_slots = 4.0;
+    spec.faults.panel_decay_per_day = 0.001;
+    spec.faults.battery_aging_per_day = 0.002;
+  }
+  return spec;
+}
+
+std::vector<std::uint64_t> CellChecksums(const FleetSummary& summary) {
+  std::vector<std::uint64_t> sums;
+  for (const CellAccumulator& cell : summary.stats) {
+    std::ostringstream os;
+    cell.Serialize(os);
+    sums.push_back(FleetFrameChecksum(os.str()));
+  }
+  return sums;
+}
+
+// One checksum per cell, in PredictorKind order.
+constexpr std::array<std::uint64_t, 8> kAllKindsHealthy{{
+    0xd8037ac3cf3801cfull,  // WCMA
+    0xc7352e4e26a3f5c5ull,  // FixedWCMA
+    0x68502912fbb2f0a7ull,  // VmWCMA
+    0x279cf4f34d7d2ab9ull,  // EWMA
+    0x16f94c67b2a0bef4ull,  // AR
+    0x806fd65492c18b78ull,  // AdaptiveWCMA
+    0x070ddd5484318291ull,  // Persistence
+    0x4ae9bee94e565587ull,  // PreviousDay
+}};
+constexpr std::array<std::uint64_t, 8> kAllKindsFaulted{{
+    0x4368d38c6cd20352ull,  // WCMA
+    0x4b95b92bcfe29ad5ull,  // FixedWCMA
+    0x899e1b2f09c27b7full,  // VmWCMA
+    0x0b5f1dbd7ab327d2ull,  // EWMA
+    0xd2a38a912712e918ull,  // AR
+    0x20c889e408ee2f18ull,  // AdaptiveWCMA
+    0xabe80fe193be72e0ull,  // Persistence
+    0xe42401a87d330a48ull,  // PreviousDay
+}};
+
+TEST(FleetGolden, AllKindsCellTextMatchesCommittedChecksums) {
+  for (bool faulted : {false, true}) {
+    const FleetSummary summary = RunFleet(AllKindsSpec(faulted));
+    const auto& expected = faulted ? kAllKindsFaulted : kAllKindsHealthy;
+    const std::vector<std::uint64_t> sums = CellChecksums(summary);
+    ASSERT_EQ(sums.size(), expected.size());
+    for (std::size_t i = 0; i < sums.size(); ++i) {
+      EXPECT_EQ(sums[i], expected[i])
+          << (faulted ? "faulted " : "healthy ")
+          << summary.cells[i].predictor_label << " got 0x" << std::hex
+          << sums[i];
+    }
+    if (faulted) {
+      for (const CellAccumulator& cell : summary.stats) {
+        EXPECT_GT(cell.recoveries, 0u);
+      }
+    }
   }
 }
 

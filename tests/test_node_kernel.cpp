@@ -52,7 +52,7 @@ void ExpectBitIdentical(const NodeSimResult& a, const NodeSimResult& b) {
   EXPECT_EQ(a.compute.predictions, b.compute.predictions);
 }
 
-PredictorSpec HotSpec(PredictorKind kind) {
+PredictorSpec KindSpec(PredictorKind kind) {
   PredictorSpec spec;
   spec.kind = kind;
   spec.wcma.alpha = 0.7;
@@ -64,15 +64,18 @@ PredictorSpec HotSpec(PredictorKind kind) {
   return spec;
 }
 
-// Every hot fleet kind: the concrete-type kernel instantiation selected by
-// SimulateSpecNode must equal Make() + virtual SimulateNode exactly.
-TEST(SimulateSpecNode, HotKindsMatchVirtualPathBitForBit) {
+// Every PredictorKind: the kernel instantiation SimulateSpecNode selects
+// must equal Make() + virtual SimulateNode exactly.
+TEST(SimulateSpecNode, EveryKindMatchesVirtualPathBitForBit) {
   const auto series = MakeSeries("ORNL", 40);
   const auto config = MakeConfig();
   for (PredictorKind kind :
-       {PredictorKind::kWcma, PredictorKind::kWcmaFixed, PredictorKind::kEwma,
-        PredictorKind::kAr}) {
-    const PredictorSpec spec = HotSpec(kind);
+       {PredictorKind::kWcma, PredictorKind::kWcmaFixed,
+        PredictorKind::kWcmaVm, PredictorKind::kEwma, PredictorKind::kAr,
+        PredictorKind::kAdaptiveWcma, PredictorKind::kPersistence,
+        PredictorKind::kPreviousDay}) {
+    SCOPED_TRACE(PredictorKindName(kind));
+    const PredictorSpec spec = KindSpec(kind);
     const NodeSimResult fast = SimulateSpecNode(spec, 48, series, config);
     const auto predictor = spec.Make(48);
     const NodeSimResult slow = SimulateNode(*predictor, series, config);
@@ -89,32 +92,15 @@ TEST(SimulateSpecNode, CostChannelMatchesDynamicCastProbe) {
   const auto config = MakeConfig();
 
   const NodeSimResult fixed =
-      SimulateSpecNode(HotSpec(PredictorKind::kWcmaFixed), 48, series, config);
+      SimulateSpecNode(KindSpec(PredictorKind::kWcmaFixed), 48, series, config);
   EXPECT_TRUE(fixed.has_compute_cost);
   EXPECT_GT(fixed.compute.predictions, 0u);
   EXPECT_GT(fixed.compute.cycles, 0.0);
 
   const NodeSimResult floating =
-      SimulateSpecNode(HotSpec(PredictorKind::kWcma), 48, series, config);
+      SimulateSpecNode(KindSpec(PredictorKind::kWcma), 48, series, config);
   EXPECT_FALSE(floating.has_compute_cost);
   EXPECT_EQ(floating.compute.predictions, 0u);
-}
-
-// Kinds outside the hot set take the Make() + virtual fallback inside
-// SimulateSpecNode; they must behave exactly like calling it directly.
-TEST(SimulateSpecNode, FallbackKindsMatchVirtualPath) {
-  const auto series = MakeSeries("PFCI", 35);
-  const auto config = MakeConfig();
-  for (PredictorKind kind : {PredictorKind::kPersistence,
-                             PredictorKind::kPreviousDay,
-                             PredictorKind::kWcmaVm}) {
-    PredictorSpec spec = HotSpec(kind);
-    const NodeSimResult via_dispatch = SimulateSpecNode(spec, 48, series,
-                                                        config);
-    const auto predictor = spec.Make(48);
-    const NodeSimResult direct = SimulateNode(*predictor, series, config);
-    ExpectBitIdentical(via_dispatch, direct);
-  }
 }
 
 // Direct kernel instantiation on a stack-constructed concrete predictor:
