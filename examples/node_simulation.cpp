@@ -55,7 +55,7 @@ int main() {
                        static_cast<Predictor*>(&persistence),
                        static_cast<Predictor*>(&previous_day)}) {
     const auto r = SimulateNode(*p, series, config);
-    table.AddRow({r.predictor_name, FormatPercent(r.violation_rate),
+    table.AddRow({p->Name(), FormatPercent(r.violation_rate),
                   FormatPercent(r.overflow_j / r.harvested_j),
                   FormatPercent(r.mean_duty), FormatFixed(r.duty_stddev, 3),
                   FormatPercent(r.min_level_fraction)});

@@ -23,6 +23,15 @@ inline std::string CheckMessage(const char* cond, const char* file, int line,
   return os.str();
 }
 
+/// Calls params.Validate() and returns params, so a constructor can check
+/// its parameters in the member-initializer list, before it sizes any
+/// storage from them.
+template <class Params>
+const Params& Validated(const Params& params) {
+  params.Validate();
+  return params;
+}
+
 }  // namespace shep
 
 /// Precondition on arguments of a public function.  Always on.

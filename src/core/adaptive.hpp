@@ -26,13 +26,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "core/predictor.hpp"
 #include "core/wcma.hpp"
-#include "timeseries/history.hpp"
 
 namespace shep {
 
@@ -53,6 +51,8 @@ struct AdaptiveWcmaParams {
   void Validate() const;
 
   std::size_t candidates() const { return alphas.size() * ks.size(); }
+  /// The largest candidate K: the shared window's size.
+  int max_k() const;
 };
 
 /// Streaming WCMA with online (α, K) selection.
@@ -82,25 +82,13 @@ class AdaptiveWcma final : public Predictor {
   }
 
  private:
-  struct RecentSlot {
-    double sample;
-    double mu;
-  };
-
   /// Candidate predictions for the upcoming slot, refreshed on Observe.
   void RefreshCandidatePredictions();
 
   AdaptiveWcmaParams params_;
-  int slots_per_day_;
+  WcmaState state_;  ///< window of max_k() slots.
 
-  HistoryMatrix history_;
-  std::vector<double> current_day_;
-  std::size_t next_slot_ = 0;
-  double last_sample_ = 0.0;
-  bool has_sample_ = false;
-  std::deque<RecentSlot> recent_;
-  int max_k_ = 1;
-
+  std::vector<double> phi_by_k_;         ///< Φ per candidate K (scratch).
   std::vector<double> candidate_pred_;   ///< ê_c for the upcoming slot.
   std::vector<double> candidate_loss_;   ///< discounted APE per candidate.
   std::vector<std::uint64_t> selection_counts_;

@@ -1,5 +1,6 @@
 #include "core/ar.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -24,61 +25,55 @@ void ArParams::Validate() const {
 }
 
 ArPredictor::ArPredictor(const ArParams& params, int slots_per_day)
-    : params_(params),
-      slots_per_day_(slots_per_day),
-      history_(static_cast<std::size_t>(std::max(params.days, 1)),
-               static_cast<std::size_t>(std::max(slots_per_day, 1))) {
-  params_.Validate();
-  SHEP_REQUIRE(slots_per_day_ >= 2, "need at least two slots per day");
-  current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
+    : params_(Validated(params)),
+      history_(static_cast<std::size_t>(params_.days),
+               static_cast<std::size_t>(std::max(slots_per_day, 1))),
+      ratio_lags_(static_cast<std::size_t>(params_.order)) {
+  SHEP_REQUIRE(slots_per_day >= 2, "need at least two slots per day");
   const auto dim = static_cast<std::size_t>(params_.order + 1);
-  theta_.assign(dim, 0.0);
-  theta_[0] = 0.0;
-  theta_[1] = 1.0;  // start as "ratio persists" — a sensible prior
-  cov_.assign(dim * dim, 0.0);
-  for (std::size_t i = 0; i < dim; ++i) cov_[i * dim + i] = params_.delta;
+  features_.assign(dim, 0.0);
+  px_.assign(dim, 0.0);
+  gain_.assign(dim, 0.0);
+  Reset();
 }
 
-std::vector<double> ArPredictor::Features() const {
-  const auto dim = static_cast<std::size_t>(params_.order + 1);
-  std::vector<double> x(dim, 0.0);
-  x[0] = 1.0;  // bias
+void ArPredictor::Features() const {
+  features_[0] = 1.0;  // bias
   for (std::size_t lag = 0; lag < static_cast<std::size_t>(params_.order);
        ++lag) {
     if (lag < ratio_lags_.size()) {
-      x[lag + 1] = ratio_lags_[ratio_lags_.size() - 1 - lag];
+      features_[lag + 1] = ratio_lags_[ratio_lags_.size() - 1 - lag];
     } else {
-      x[lag + 1] = 1.0;  // neutral ratio for missing history
+      features_[lag + 1] = 1.0;  // neutral ratio for missing history
     }
   }
-  return x;
 }
 
-void ArPredictor::RlsUpdate(const std::vector<double>& x, double target) {
+void ArPredictor::RlsUpdate(double target) {
+  const std::vector<double>& x = features_;
   const auto dim = x.size();
   // k = P x / (λ + xᵀ P x)
-  std::vector<double> px(dim, 0.0);
   for (std::size_t i = 0; i < dim; ++i) {
+    px_[i] = 0.0;
     for (std::size_t j = 0; j < dim; ++j) {
-      px[i] += cov_[i * dim + j] * x[j];
+      px_[i] += cov_[i * dim + j] * x[j];
     }
   }
   double denom = params_.lambda;
-  for (std::size_t i = 0; i < dim; ++i) denom += x[i] * px[i];
+  for (std::size_t i = 0; i < dim; ++i) denom += x[i] * px_[i];
   SHEP_DCHECK(denom > 0.0, "RLS denominator must be positive");
-  std::vector<double> k(dim);
-  for (std::size_t i = 0; i < dim; ++i) k[i] = px[i] / denom;
+  for (std::size_t i = 0; i < dim; ++i) gain_[i] = px_[i] / denom;
 
   // θ += k (target − θᵀx)
   double innovation = target;
   for (std::size_t i = 0; i < dim; ++i) innovation -= theta_[i] * x[i];
-  for (std::size_t i = 0; i < dim; ++i) theta_[i] += k[i] * innovation;
+  for (std::size_t i = 0; i < dim; ++i) theta_[i] += gain_[i] * innovation;
 
   // P = (P − k (P x)ᵀ) / λ
   for (std::size_t i = 0; i < dim; ++i) {
     for (std::size_t j = 0; j < dim; ++j) {
       cov_[i * dim + j] =
-          (cov_[i * dim + j] - k[i] * px[j]) / params_.lambda;
+          (cov_[i * dim + j] - gain_[i] * px_[j]) / params_.lambda;
     }
   }
   ++updates_;
@@ -90,44 +85,37 @@ void ArPredictor::Observe(double boundary_sample) {
   // De-seasonalise: ratio against the slot's historical average, when both
   // are daylight values.
   double mu = -1.0;
-  if (history_.stored_days() > 0) mu = history_.Mu(next_slot_);
+  if (history_.stored_days() > 0) mu = history_.Mu(history_.next_slot());
   const bool lit = mu > kNightEpsilonW && boundary_sample > kNightEpsilonW;
   if (lit) {
     const double ratio = Clamp(boundary_sample / mu, 0.0, kMaxRatio);
     // Learn: the features BEFORE pushing this ratio predict it.
-    if (ratio_lags_.size() >= static_cast<std::size_t>(params_.order)) {
-      RlsUpdate(Features(), ratio);
+    if (ratio_lags_.size() == ratio_lags_.capacity()) {
+      Features();
+      RlsUpdate(ratio);
     }
     ratio_lags_.push_back(ratio);
-    while (ratio_lags_.size() > static_cast<std::size_t>(params_.order)) {
-      ratio_lags_.pop_front();
-    }
   } else {
     // Crossing night resets the dynamics; stale evening ratios do not
     // describe the next morning.
     ratio_lags_.clear();
   }
 
-  current_day_[next_slot_] = boundary_sample;
-  last_sample_ = boundary_sample;
-  has_sample_ = true;
-  ++next_slot_;
-  if (next_slot_ == static_cast<std::size_t>(slots_per_day_)) {
-    history_.PushDay(current_day_);
-    next_slot_ = 0;
-  }
+  history_.Append(boundary_sample);
 }
 
 double ArPredictor::PredictNext() const {
-  SHEP_REQUIRE(has_sample_, "PredictNext before any Observe");
+  SHEP_REQUIRE(history_.has_sample(), "PredictNext before any Observe");
   if (history_.stored_days() == 0 || ratio_lags_.empty()) {
-    return last_sample_;  // persistence fallback
+    return history_.last_sample();  // persistence fallback
   }
-  const double mu_next = history_.Mu(next_slot_);
-  if (mu_next <= kNightEpsilonW) return last_sample_;
-  const auto x = Features();
+  const double mu_next = history_.Mu(history_.next_slot());
+  if (mu_next <= kNightEpsilonW) return history_.last_sample();
+  Features();
   double ratio_hat = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) ratio_hat += theta_[i] * x[i];
+  for (std::size_t i = 0; i < features_.size(); ++i) {
+    ratio_hat += theta_[i] * features_[i];
+  }
   ratio_hat = Clamp(ratio_hat, 0.0, kMaxRatio);
   return mu_next * ratio_hat;
 }
@@ -138,16 +126,11 @@ bool ArPredictor::Ready() const {
 }
 
 void ArPredictor::Reset() {
-  history_ = HistoryMatrix(static_cast<std::size_t>(params_.days),
-                           static_cast<std::size_t>(slots_per_day_));
-  current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
-  next_slot_ = 0;
-  last_sample_ = 0.0;
-  has_sample_ = false;
+  history_.Clear();
   ratio_lags_.clear();
   const auto dim = static_cast<std::size_t>(params_.order + 1);
   theta_.assign(dim, 0.0);
-  theta_[1] = 1.0;
+  theta_[1] = 1.0;  // start as "ratio persists" — a sensible prior
   cov_.assign(dim * dim, 0.0);
   for (std::size_t i = 0; i < dim; ++i) cov_[i * dim + i] = params_.delta;
   updates_ = 0;

@@ -15,10 +15,11 @@
 // which tests/test_ar.cpp demonstrates as a negative control.
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/fixed_ring.hpp"
 #include "core/predictor.hpp"
 #include "timeseries/history.hpp"
 
@@ -54,23 +55,23 @@ class ArPredictor final : public Predictor {
   std::uint64_t updates() const { return updates_; }
 
  private:
-  /// Feature vector from the lag buffer: [1, r(n), r(n-1), ...].
-  std::vector<double> Features() const;
-  void RlsUpdate(const std::vector<double>& x, double target);
+  /// Fills features_ from the lag buffer: [1, r(n), r(n-1), ...].
+  void Features() const;
+  /// One RLS step on features_ towards `target`.
+  void RlsUpdate(double target);
 
   ArParams params_;
-  int slots_per_day_;
-
   HistoryMatrix history_;
-  std::vector<double> current_day_;
-  std::size_t next_slot_ = 0;
-  double last_sample_ = 0.0;
-  bool has_sample_ = false;
-
-  std::deque<double> ratio_lags_;  ///< newest at back.
-  std::vector<double> theta_;      ///< order+1 coefficients (bias first).
-  std::vector<double> cov_;        ///< P matrix, (order+1)^2 row-major.
+  FixedRing<double> ratio_lags_;  ///< the newest `order` ratios.
+  std::vector<double> theta_;     ///< order+1 coefficients (bias first).
+  std::vector<double> cov_;       ///< P matrix, (order+1)^2 row-major.
   std::uint64_t updates_ = 0;
+
+  // Scratch sized at construction, so Observe/PredictNext never allocate.
+  // mutable: PredictNext() is logically const but builds its features.
+  mutable std::vector<double> features_;  ///< x, order+1 entries.
+  std::vector<double> px_;                ///< P x.
+  std::vector<double> gain_;              ///< RLS gain k.
 };
 
 }  // namespace shep

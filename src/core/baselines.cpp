@@ -26,82 +26,56 @@ void Persistence::Reset() {
 
 // --------------------------------------------------------- SlotMovingAverage
 
-SlotMovingAverage::SlotMovingAverage(int days, int slots_per_day)
-    : days_(days),
-      slots_per_day_(slots_per_day),
-      history_(static_cast<std::size_t>(days),
-               static_cast<std::size_t>(slots_per_day)) {
-  SHEP_REQUIRE(days_ >= 1, "D must be >= 1");
-  SHEP_REQUIRE(slots_per_day_ >= 2, "need at least two slots per day");
-  current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
+namespace {
+std::size_t CheckedDays(int days) {
+  SHEP_REQUIRE(days >= 1, "D must be >= 1");
+  return static_cast<std::size_t>(days);
 }
+
+std::size_t CheckedSlots(int slots_per_day) {
+  SHEP_REQUIRE(slots_per_day >= 2, "need at least two slots per day");
+  return static_cast<std::size_t>(slots_per_day);
+}
+}  // namespace
+
+SlotMovingAverage::SlotMovingAverage(int days, int slots_per_day)
+    : history_(CheckedDays(days), CheckedSlots(slots_per_day)) {}
 
 void SlotMovingAverage::Observe(double boundary_sample) {
   SHEP_REQUIRE(boundary_sample >= 0.0, "power sample must be non-negative");
-  current_day_[next_slot_] = boundary_sample;
-  last_sample_ = boundary_sample;
-  has_sample_ = true;
-  ++next_slot_;
-  if (next_slot_ == static_cast<std::size_t>(slots_per_day_)) {
-    history_.PushDay(current_day_);
-    next_slot_ = 0;
-  }
+  history_.Append(boundary_sample);
 }
 
 double SlotMovingAverage::PredictNext() const {
-  SHEP_REQUIRE(has_sample_, "PredictNext before any Observe");
-  if (history_.stored_days() == 0) return last_sample_;
-  return history_.Mu(next_slot_);
+  SHEP_REQUIRE(history_.has_sample(), "PredictNext before any Observe");
+  if (history_.stored_days() == 0) return history_.last_sample();
+  return history_.Mu(history_.next_slot());
 }
 
-void SlotMovingAverage::Reset() {
-  history_ = HistoryMatrix(static_cast<std::size_t>(days_),
-                           static_cast<std::size_t>(slots_per_day_));
-  current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
-  next_slot_ = 0;
-  last_sample_ = 0.0;
-  has_sample_ = false;
-}
+void SlotMovingAverage::Reset() { history_.Clear(); }
 
 std::string SlotMovingAverage::Name() const {
   std::ostringstream os;
-  os << "SlotMovingAverage(D=" << days_ << ")";
+  os << "SlotMovingAverage(D=" << history_.capacity_days() << ")";
   return os.str();
 }
 
 // --------------------------------------------------------------- PreviousDay
 
 PreviousDay::PreviousDay(int slots_per_day)
-    : slots_per_day_(slots_per_day),
-      history_(1, static_cast<std::size_t>(slots_per_day)) {
-  SHEP_REQUIRE(slots_per_day_ >= 2, "need at least two slots per day");
-  current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
-}
+    : history_(1, CheckedSlots(slots_per_day)) {}
 
 void PreviousDay::Observe(double boundary_sample) {
   SHEP_REQUIRE(boundary_sample >= 0.0, "power sample must be non-negative");
-  current_day_[next_slot_] = boundary_sample;
-  last_sample_ = boundary_sample;
-  has_sample_ = true;
-  ++next_slot_;
-  if (next_slot_ == static_cast<std::size_t>(slots_per_day_)) {
-    history_.PushDay(current_day_);
-    next_slot_ = 0;
-  }
+  history_.Append(boundary_sample);
 }
 
 double PreviousDay::PredictNext() const {
-  SHEP_REQUIRE(has_sample_, "PredictNext before any Observe");
-  if (history_.stored_days() == 0) return last_sample_;
-  return history_.at_age(0, next_slot_);
+  SHEP_REQUIRE(history_.has_sample(), "PredictNext before any Observe");
+  if (history_.stored_days() == 0) return history_.last_sample();
+  return history_.at_age(0, history_.next_slot());
 }
 
-void PreviousDay::Reset() {
-  history_ = HistoryMatrix(1, static_cast<std::size_t>(slots_per_day_));
-  current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
-  next_slot_ = 0;
-  last_sample_ = 0.0;
-  has_sample_ = false;
-}
+void PreviousDay::Reset() { history_.Clear(); }
 
 }  // namespace shep

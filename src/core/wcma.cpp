@@ -13,100 +13,95 @@ void WcmaParams::Validate() const {
   SHEP_REQUIRE(slots_k >= 1, "K must be >= 1");
 }
 
-Wcma::Wcma(const WcmaParams& params, int slots_per_day,
-           WcmaWeighting weighting)
-    : params_(params),
-      slots_per_day_(slots_per_day),
-      weighting_(weighting),
-      history_(static_cast<std::size_t>(params.days),
-               static_cast<std::size_t>(slots_per_day)) {
-  params_.Validate();
-  SHEP_REQUIRE(slots_per_day_ >= 2, "need at least two slots per day");
-  SHEP_REQUIRE(params_.slots_k < slots_per_day_,
+const WcmaParams& WcmaParams::ValidFor(int slots_per_day) const {
+  Validate();
+  SHEP_REQUIRE(slots_per_day >= 2, "need at least two slots per day");
+  SHEP_REQUIRE(slots_k < slots_per_day,
                "K must be smaller than the number of slots per day");
-  current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
+  return *this;
 }
 
-void Wcma::Observe(double boundary_sample) {
-  SHEP_REQUIRE(boundary_sample >= 0.0, "power sample must be non-negative");
-  // Record the historical average the conditioning factor should compare
-  // this sample against *as seen now* (before today is pushed into the
-  // matrix); this also makes day-boundary wrap-around of the K window
-  // automatic.
-  double mu = boundary_sample;  // neutral when no history yet (η = 1)
-  if (history_.stored_days() > 0) mu = history_.Mu(next_slot_);
-  recent_.push_back(RecentSlot{boundary_sample, mu});
-  while (recent_.size() > static_cast<std::size_t>(params_.slots_k)) {
-    recent_.pop_front();
-  }
+// ------------------------------------------------------------------ WcmaState
 
-  current_day_[next_slot_] = boundary_sample;
-  last_sample_ = boundary_sample;
-  has_sample_ = true;
+WcmaState::WcmaState(std::size_t days, std::size_t slots_per_day,
+                     std::size_t window)
+    : history_(days, slots_per_day), recent_(window) {}
 
-  ++next_slot_;
-  if (next_slot_ == static_cast<std::size_t>(slots_per_day_)) {
-    history_.PushDay(current_day_);
-    next_slot_ = 0;
-  }
+void WcmaState::Observe(double sample) {
+  double mu = sample;  // neutral when no history yet (η = 1)
+  if (history_.stored_days() > 0) mu = MuNext();
+  recent_.push_back(WcmaRecentSlot{sample, mu});
+  history_.Append(sample);
 }
 
-double Wcma::CurrentPhi() const {
-  if (recent_.empty()) return 1.0;
-  const auto k_avail = recent_.size();
+void WcmaState::Clear() {
+  history_.Clear();
+  recent_.clear();
+}
+
+double WcmaState::Phi(std::size_t k, WcmaWeighting weighting) const {
+  SHEP_DCHECK(k <= recent_.size(), "phi window exceeds the stored slots");
+  if (k == 0) return 1.0;
+  const std::size_t first = recent_.size() - k;
   double num = 0.0;
   double den = 0.0;
-  for (std::size_t i = 0; i < k_avail; ++i) {
-    // i = 0 is the oldest retained slot; the paper's index k runs 1..K with
-    // k = K at the most recent slot, θ(k) = k/K.
+  for (std::size_t i = 0; i < k; ++i) {
+    // i = 0 is the oldest slot in the window; the paper's index runs 1..K
+    // with θ(K) = 1 at the most recent slot, θ(k) = k/K.
     const double theta =
-        weighting_ == WcmaWeighting::kRamp
-            ? static_cast<double>(i + 1) / static_cast<double>(k_avail)
+        weighting == WcmaWeighting::kRamp
+            ? static_cast<double>(i + 1) / static_cast<double>(k)
             : 1.0;
-    const auto& r = recent_[i];
-    const double eta =
-        r.mu > kNightEpsilonW ? r.sample / r.mu : 1.0;
+    const WcmaRecentSlot& r = recent_[first + i];
+    const double eta = r.mu > kNightEpsilonW ? r.sample / r.mu : 1.0;
     num += theta * eta;
     den += theta;
   }
-  SHEP_DCHECK(den > 0.0, "phi weights must be positive");
   return num / den;
 }
 
+double WcmaState::Predict(double alpha, WcmaWeighting weighting) const {
+  const double last = history_.last_sample();
+  const double conditioned =
+      history_.stored_days() == 0
+          ? last
+          : MuNext() * Phi(recent_.size(), weighting);
+  return alpha * last + (1.0 - alpha) * conditioned;
+}
+
+// ----------------------------------------------------------------------- Wcma
+
+Wcma::Wcma(const WcmaParams& params, int slots_per_day,
+           WcmaWeighting weighting)
+    : params_(params.ValidFor(slots_per_day)),
+      weighting_(weighting),
+      state_(static_cast<std::size_t>(params_.days),
+             static_cast<std::size_t>(slots_per_day),
+             static_cast<std::size_t>(params_.slots_k)) {}
+
+void Wcma::Observe(double boundary_sample) {
+  SHEP_REQUIRE(boundary_sample >= 0.0, "power sample must be non-negative");
+  state_.Observe(boundary_sample);
+}
+
+double Wcma::CurrentPhi() const {
+  return state_.Phi(state_.recent().size(), weighting_);
+}
+
 double Wcma::CurrentMu(std::size_t slot) const {
-  SHEP_REQUIRE(slot < static_cast<std::size_t>(slots_per_day_),
-               "slot index out of range");
-  SHEP_REQUIRE(history_.stored_days() > 0, "no history stored yet");
-  return history_.Mu(slot);
+  SHEP_REQUIRE(state_.history().stored_days() > 0, "no history stored yet");
+  return state_.history().Mu(slot);
 }
 
 double Wcma::PredictNext() const {
-  SHEP_REQUIRE(has_sample_, "PredictNext before any Observe");
-  // The slot to predict is the one the next Observe() will fill.
-  const std::size_t predicted_slot = next_slot_;
-
-  double conditioned;
-  if (history_.stored_days() == 0) {
-    // No past days at all: the conditioned-average term degenerates to
-    // persistence.
-    conditioned = last_sample_;
-  } else {
-    conditioned = history_.Mu(predicted_slot) * CurrentPhi();
-  }
-  return params_.alpha * last_sample_ + (1.0 - params_.alpha) * conditioned;
+  SHEP_REQUIRE(state_.history().has_sample(),
+               "PredictNext before any Observe");
+  return state_.Predict(params_.alpha, weighting_);
 }
 
-bool Wcma::Ready() const { return history_.full(); }
+bool Wcma::Ready() const { return state_.history().full(); }
 
-void Wcma::Reset() {
-  history_ = HistoryMatrix(static_cast<std::size_t>(params_.days),
-                           static_cast<std::size_t>(slots_per_day_));
-  current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
-  next_slot_ = 0;
-  last_sample_ = 0.0;
-  has_sample_ = false;
-  recent_.clear();
-}
+void Wcma::Reset() { state_.Clear(); }
 
 std::string Wcma::Name() const {
   std::ostringstream os;

@@ -26,9 +26,10 @@
 //   * Fewer than K slots observed so far: Φ uses the available ones.
 #pragma once
 
-#include <deque>
+#include <cstddef>
 #include <string>
 
+#include "common/fixed_ring.hpp"
 #include "core/predictor.hpp"
 #include "timeseries/history.hpp"
 
@@ -42,6 +43,11 @@ struct WcmaParams {
 
   /// Throws std::invalid_argument when out of range.
   void Validate() const;
+
+  /// Validate() plus the checks against the deployment's N (N >= 2 and
+  /// K < N).  Returns *this so a constructor can run it in its
+  /// member-initializer list, before sizing storage from the parameters.
+  const WcmaParams& ValidFor(int slots_per_day) const;
 };
 
 /// Conditioning-weight profiles.  The paper uses the ramp θ(k)=k/K (Eq. 5);
@@ -49,6 +55,52 @@ struct WcmaParams {
 enum class WcmaWeighting {
   kRamp,     ///< θ(k) = k/K (paper).
   kUniform,  ///< θ(k) = 1.
+};
+
+/// One elapsed slot as Φ sees it: the measured sample and the historical
+/// average μ_D of its slot as it stood when the sample was measured.
+struct WcmaRecentSlot {
+  double sample;
+  double mu;
+};
+
+/// The streaming state of the double-precision WCMA backends (Wcma,
+/// AdaptiveWcma and hw/VmWcmaPredictor): the D-day history with today's
+/// slot cursor, and the newest `window` (sample, μ) pairs.  Sized at
+/// construction; Observe and Clear never allocate.
+class WcmaState {
+ public:
+  WcmaState(std::size_t days, std::size_t slots_per_day, std::size_t window);
+
+  /// Records (sample, μ_D of its slot as seen now) and appends the sample
+  /// to the history.  μ is read before today enters the matrix, which also
+  /// makes the window's wrap-around across the day boundary automatic;
+  /// before any day is stored μ is the sample itself (η = 1, neutral).
+  void Observe(double sample);
+
+  /// Back to the just-constructed state, reusing the storage.
+  void Clear();
+
+  const HistoryMatrix& history() const { return history_; }
+  const FixedRing<WcmaRecentSlot>& recent() const { return recent_; }
+
+  /// μ_D of the slot the next Observe fills (requires a stored day).
+  double MuNext() const { return history_.Mu(history_.next_slot()); }
+
+  /// Φ_K (Eqs. 3–5) over the newest k <= recent().size() entries: the
+  /// θ-weighted mean of η = sample/μ, with θ ramping to 1 at the newest
+  /// entry, and η = 1 at night (μ ≈ 0).  1 when k == 0.
+  double Phi(std::size_t k,
+             WcmaWeighting weighting = WcmaWeighting::kRamp) const;
+
+  /// Eq. 1 with Φ over the whole window.  Before any day is stored the
+  /// conditioned term degenerates to the last sample (persistence).
+  double Predict(double alpha,
+                 WcmaWeighting weighting = WcmaWeighting::kRamp) const;
+
+ private:
+  HistoryMatrix history_;
+  FixedRing<WcmaRecentSlot> recent_;
 };
 
 /// Streaming implementation of the predictor.
@@ -75,23 +127,9 @@ class Wcma final : public Predictor {
   double CurrentMu(std::size_t slot) const;
 
  private:
-  /// One elapsed slot of the current day, as used by Φ: the measured sample
-  /// and the historical average that was current when it was measured.
-  struct RecentSlot {
-    double sample;
-    double mu;
-  };
-
   WcmaParams params_;
-  int slots_per_day_;
   WcmaWeighting weighting_;
-
-  HistoryMatrix history_;
-  std::vector<double> current_day_;  ///< boundary samples observed today.
-  std::size_t next_slot_ = 0;        ///< slot-of-day the next Observe fills.
-  double last_sample_ = 0.0;
-  bool has_sample_ = false;
-  std::deque<RecentSlot> recent_;    ///< last <= K elapsed slots.
+  WcmaState state_;
 };
 
 }  // namespace shep

@@ -15,11 +15,9 @@ const Fx kNightEpsilon = Fx::FromDouble(kNightEpsilonW * FixedWcma::kInputScale)
 }  // namespace
 
 FixedWcma::FixedWcma(const WcmaParams& params, int slots_per_day)
-    : params_(params), slots_per_day_(slots_per_day) {
-  params_.Validate();
-  SHEP_REQUIRE(slots_per_day_ >= 2, "need at least two slots per day");
-  SHEP_REQUIRE(params_.slots_k < slots_per_day_,
-               "K must be smaller than the number of slots per day");
+    : params_(params.ValidFor(slots_per_day)),
+      slots_per_day_(slots_per_day),
+      recent_(static_cast<std::size_t>(params_.slots_k)) {
   alpha_ = Fx::FromDouble(params_.alpha);
   one_minus_alpha_ = Fx::One() - alpha_;
   alpha_is_zero_ = alpha_.raw() == 0;
@@ -58,9 +56,6 @@ void FixedWcma::Observe(double boundary_sample) {
   recent_.push_back(RecentSlot{sample, mu});
   ops.store += 2;
   ops.branch += 1;  // window-full check
-  while (recent_.size() > static_cast<std::size_t>(params_.slots_k)) {
-    recent_.pop_front();
-  }
 
   current_day_[next_slot_] = sample;
   ops.store += 1;

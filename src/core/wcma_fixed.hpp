@@ -22,10 +22,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
+#include "common/fixed_ring.hpp"
 #include "core/fixed_point.hpp"
 #include "core/wcma.hpp"
 
@@ -108,7 +108,7 @@ class FixedWcma final : public Predictor {
   std::size_t next_slot_ = 0;
   Fx last_sample_ = Fx::Zero();
   bool has_sample_ = false;
-  std::deque<RecentSlot> recent_;
+  FixedRing<RecentSlot> recent_;  ///< last <= K elapsed slots.
 
   mutable OpCounts observe_ops_;
   mutable OpCounts predict_ops_;

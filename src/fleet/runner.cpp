@@ -9,11 +9,8 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "core/ar.hpp"
-#include "core/ewma.hpp"
-#include "core/wcma.hpp"
 #include "fleet/faults.hpp"
-#include "hw/costed_fixed.hpp"
+#include "fleet/visit_predictor.hpp"
 #include "mgmt/node_sim.hpp"
 #include "mgmt/node_sim_kernel.hpp"
 #include "solar/clearsky.hpp"
@@ -32,9 +29,10 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The per-kind dispatch behind SimulateSpecNode, parameterized on the
-/// kernel's slot probe and fault model so the traced/untraced and
-/// faulted/healthy paths share one definition.  With NoSlotProbe the probe
+/// SimulateSpecNode's body: VisitPredictor builds the concrete predictor
+/// on the stack and the kernel is instantiated on its type, for every
+/// kind.  Parameterized on the kernel's slot probe and fault model so the
+/// traced/untraced and faulted/healthy paths share one definition.  With NoSlotProbe the probe
 /// call sites vanish and this IS the untraced hot path; with NodeTraceProbe
 /// each slot is offered to the worker's ring.  Likewise NoFaultModel
 /// compiles the fault branches away entirely, while FaultModel (built from
@@ -47,35 +45,9 @@ NodeSimResult SimulateSpecNodeImpl(const PredictorSpec& spec,
                                    const SlotSeries& series,
                                    const NodeSimConfig& config,
                                    const Probe& probe, Faults faults) {
-  // The hot fleet kinds get a stack-constructed concrete predictor and the
-  // statically dispatched kernel; anything else takes the generic path.
-  // Every branch reproduces PredictorSpec::Make's construction exactly, so
-  // both paths are bit-identical.
-  switch (spec.kind) {
-    case PredictorKind::kWcma: {
-      Wcma predictor(spec.wcma, slots_per_day);
-      return SimulateNodeKernel(predictor, series, config, probe, faults);
-    }
-    case PredictorKind::kWcmaFixed: {
-      CostedFixedWcma predictor(spec.wcma, slots_per_day);
-      return SimulateNodeKernel(predictor, series, config, probe, faults);
-    }
-    case PredictorKind::kEwma: {
-      Ewma predictor(spec.ewma_weight, slots_per_day);
-      return SimulateNodeKernel(predictor, series, config, probe, faults);
-    }
-    case PredictorKind::kAr: {
-      ArPredictor predictor(spec.ar, slots_per_day);
-      return SimulateNodeKernel(predictor, series, config, probe, faults);
-    }
-    default: {
-      const auto predictor = spec.Make(slots_per_day);
-      // The kernel at P = Predictor is exactly the virtual SimulateNode
-      // entry point, here with the probe threaded through.
-      Predictor& base = *predictor;
-      return SimulateNodeKernel(base, series, config, probe, faults);
-    }
-  }
+  return VisitPredictor(spec, slots_per_day, [&](auto& predictor) {
+    return SimulateNodeKernel(predictor, series, config, probe, faults);
+  });
 }
 
 }  // namespace

@@ -100,13 +100,13 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
                             const FleetRunOptions& options = {},
                             FleetRunStats* stats = nullptr);
 
-/// Simulates one node of a cell: instantiates `spec` and runs it over
-/// `series` through the static-dispatch kernel (mgmt/node_sim_kernel.hpp)
-/// when the kind is one of the hot fleet predictors (WCMA, FixedWCMA,
-/// EWMA, AR) — no per-slot virtual calls, no per-run dynamic_cast, no heap
-/// allocation for the predictor — and falls back to PredictorSpec::Make +
-/// the virtual SimulateNode for every other kind.  Bit-identical to the
-/// virtual path for all kinds (pinned by tests/test_node_kernel.cpp).
+/// Simulates one node of a cell: VisitPredictor (fleet/visit_predictor.hpp)
+/// builds `spec`'s concrete predictor on the stack and runs it over
+/// `series` through the kernel instantiated on that type
+/// (mgmt/node_sim_kernel.hpp) — for every kind: no per-slot virtual calls,
+/// no per-run dynamic_cast, no heap allocation for the predictor.
+/// Bit-identical to PredictorSpec::Make + the virtual SimulateNode (pinned
+/// by tests/test_node_kernel.cpp).
 NodeSimResult SimulateSpecNode(const PredictorSpec& spec, int slots_per_day,
                                const SlotSeries& series,
                                const NodeSimConfig& config);

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/serdes.hpp"
 #include "common/rng.hpp"
-#include "core/baselines.hpp"
-#include "core/ewma.hpp"
-#include "hw/costed_fixed.hpp"
-#include "hw/vm_predictor.hpp"
+#include "fleet/visit_predictor.hpp"
 #include "solar/sites.hpp"
 #include "timeseries/trace.hpp"
 
@@ -45,56 +44,15 @@ PredictorKind PredictorKindFromName(const std::string& name) {
 }
 
 std::unique_ptr<Predictor> PredictorSpec::Make(int slots_per_day) const {
-  switch (kind) {
-    case PredictorKind::kWcma:
-      return std::make_unique<Wcma>(wcma, slots_per_day);
-    case PredictorKind::kWcmaFixed:
-      return std::make_unique<CostedFixedWcma>(wcma, slots_per_day);
-    case PredictorKind::kWcmaVm:
-      return std::make_unique<VmWcmaPredictor>(wcma, slots_per_day);
-    case PredictorKind::kEwma:
-      return std::make_unique<Ewma>(ewma_weight, slots_per_day);
-    case PredictorKind::kAr:
-      return std::make_unique<ArPredictor>(ar, slots_per_day);
-    case PredictorKind::kAdaptiveWcma:
-      return std::make_unique<AdaptiveWcma>(adaptive, slots_per_day);
-    case PredictorKind::kPersistence:
-      return std::make_unique<Persistence>();
-    case PredictorKind::kPreviousDay:
-      return std::make_unique<PreviousDay>(slots_per_day);
-  }
-  SHEP_REQUIRE(false, "unknown predictor kind");
-  throw std::logic_error("unreachable");
+  return VisitPredictor(
+      *this, slots_per_day, [](auto& p) -> std::unique_ptr<Predictor> {
+        return std::make_unique<std::remove_reference_t<decltype(p)>>(
+            std::move(p));
+      });
 }
 
 void PredictorSpec::Validate(int slots_per_day) const {
-  // Mirrors every constructor precondition Make() can hit, per kind.
-  switch (kind) {
-    case PredictorKind::kWcma:
-    case PredictorKind::kWcmaFixed:
-    case PredictorKind::kWcmaVm:
-      wcma.Validate();
-      SHEP_REQUIRE(wcma.slots_k < slots_per_day,
-                   "WCMA K must be smaller than slots_per_day");
-      break;
-    case PredictorKind::kEwma:
-      SHEP_REQUIRE(ewma_weight >= 0.0 && ewma_weight <= 1.0,
-                   "EWMA weight must be in [0,1]");
-      break;
-    case PredictorKind::kAr:
-      ar.Validate();
-      break;
-    case PredictorKind::kAdaptiveWcma:
-      adaptive.Validate();
-      for (int k : adaptive.ks) {
-        SHEP_REQUIRE(k < slots_per_day,
-                     "adaptive candidate K must be < slots_per_day");
-      }
-      break;
-    case PredictorKind::kPersistence:
-    case PredictorKind::kPreviousDay:
-      break;
-  }
+  VisitPredictor(*this, slots_per_day, [](auto&) {});
 }
 
 void ScenarioSpec::Validate() const {

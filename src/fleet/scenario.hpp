@@ -64,9 +64,10 @@ struct PredictorSpec {
   /// Instantiates a fresh predictor for a deployment with N slots per day.
   std::unique_ptr<Predictor> Make(int slots_per_day) const;
 
-  /// Rejects parameters Make() would throw on, so a malformed design is
-  /// caught by ScenarioSpec::Validate up front instead of on a pool worker
-  /// (where the throw would std::terminate).
+  /// Constructs the predictor and discards it: the constructor checks
+  /// Make() would hit run here, so a malformed design is caught by
+  /// ScenarioSpec::Validate up front instead of on a pool worker (where
+  /// the throw would std::terminate).
   void Validate(int slots_per_day) const;
 
   /// Cell label for reports: the kind name.  When a scenario lists the same

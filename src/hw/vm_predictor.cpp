@@ -10,18 +10,6 @@ namespace shep {
 
 namespace {
 
-/// Validation that must run BEFORE the init list sizes the history matrix
-/// and the VM data memory from the parameters.
-std::size_t ValidatedDays(const WcmaParams& params) {
-  params.Validate();
-  return static_cast<std::size_t>(params.days);
-}
-
-std::size_t CheckedSlots(int slots_per_day) {
-  SHEP_REQUIRE(slots_per_day >= 2, "need at least two slots per day");
-  return static_cast<std::size_t>(slots_per_day);
-}
-
 WcmaProgramLayout FullLayout(const WcmaParams& params) {
   WcmaProgramLayout layout;
   layout.slots_k = params.slots_k;
@@ -33,15 +21,13 @@ WcmaProgramLayout FullLayout(const WcmaParams& params) {
 
 VmWcmaPredictor::VmWcmaPredictor(const WcmaParams& params, int slots_per_day,
                                  const CycleCosts& costs)
-    : params_(params),
-      slots_per_day_(slots_per_day),
+    : params_(params.ValidFor(slots_per_day)),
       costs_(costs),
-      history_(ValidatedDays(params), CheckedSlots(slots_per_day)),
+      state_(static_cast<std::size_t>(params_.days),
+             static_cast<std::size_t>(slots_per_day),
+             static_cast<std::size_t>(params_.slots_k)),
       vm_(FullLayout(params).memory_words(), costs) {
   costs_.Validate();
-  SHEP_REQUIRE(params_.slots_k < slots_per_day_,
-               "K must be smaller than the number of slots per day");
-  current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
   programs_.reserve(static_cast<std::size_t>(params_.slots_k));
   for (int k = 1; k <= params_.slots_k; ++k) {
     WcmaProgramLayout layout;
@@ -53,52 +39,35 @@ VmWcmaPredictor::VmWcmaPredictor(const WcmaParams& params, int slots_per_day,
 
 void VmWcmaPredictor::Observe(double boundary_sample) {
   SHEP_REQUIRE(boundary_sample >= 0.0, "power sample must be non-negative");
-  // Identical host bookkeeping to core/wcma.cpp: record the μ the routine
-  // should condition this sample against as seen now, before today enters
-  // the matrix.
-  double mu = boundary_sample;  // neutral when no history yet (η = 1)
-  if (history_.stored_days() > 0) mu = history_.Mu(next_slot_);
-  recent_.push_back(RecentSlot{boundary_sample, mu});
-  while (recent_.size() > static_cast<std::size_t>(params_.slots_k)) {
-    recent_.pop_front();
-  }
-
-  current_day_[next_slot_] = boundary_sample;
-  last_sample_ = boundary_sample;
-  has_sample_ = true;
-
-  ++next_slot_;
-  if (next_slot_ == static_cast<std::size_t>(slots_per_day_)) {
-    history_.PushDay(current_day_);
-    next_slot_ = 0;
-  }
+  state_.Observe(boundary_sample);
 }
 
 double VmWcmaPredictor::PredictNext() const {
-  SHEP_REQUIRE(has_sample_, "PredictNext before any Observe");
+  SHEP_REQUIRE(state_.history().has_sample(),
+               "PredictNext before any Observe");
   ++predict_calls_;
 
-  if (history_.stored_days() == 0) {
-    // Boot transient: no μ_D exists, the conditioned term degenerates to
-    // persistence.  Runs on the host (zero cycles charged) with the exact
-    // expression of core/wcma.cpp so the two backends stay bit-comparable.
+  if (state_.history().stored_days() == 0) {
+    // Boot transient: no μ_D exists yet.  Runs on the host (zero cycles
+    // charged) through core/Wcma's own fallback, so the two backends stay
+    // bit-comparable.
     last_cycles_ = 0.0;
-    return params_.alpha * last_sample_ +
-           (1.0 - params_.alpha) * last_sample_;
+    return state_.Predict(params_.alpha);
   }
 
-  const std::size_t k_avail = recent_.size();
+  const FixedRing<WcmaRecentSlot>& recent = state_.recent();
+  const std::size_t k_avail = recent.size();
   SHEP_DCHECK(k_avail >= 1, "recent window empty despite a sample");
   WcmaProgramLayout layout;
   layout.slots_k = static_cast<int>(k_avail);
   layout.alpha = params_.alpha;
 
-  vm_.Poke(WcmaProgramLayout::kAddrSample, last_sample_);
-  vm_.Poke(WcmaProgramLayout::kAddrMuNext, history_.Mu(next_slot_));
+  vm_.Poke(WcmaProgramLayout::kAddrSample, state_.history().last_sample());
+  vm_.Poke(WcmaProgramLayout::kAddrMuNext, state_.MuNext());
   vm_.Poke(WcmaProgramLayout::kAddrEpsilon, kNightEpsilonW);
   for (std::size_t i = 0; i < k_avail; ++i) {
-    vm_.Poke(WcmaProgramLayout::kAddrRecentBase + i, recent_[i].sample);
-    vm_.Poke(layout.recent_mu_base() + i, recent_[i].mu);
+    vm_.Poke(WcmaProgramLayout::kAddrRecentBase + i, recent[i].sample);
+    vm_.Poke(layout.recent_mu_base() + i, recent[i].mu);
     vm_.Poke(layout.theta_base() + i,
              static_cast<double>(i + 1) / static_cast<double>(k_avail));
   }
@@ -112,16 +81,10 @@ double VmWcmaPredictor::PredictNext() const {
   return vm_.Peek(WcmaProgramLayout::kAddrOutput);
 }
 
-bool VmWcmaPredictor::Ready() const { return history_.full(); }
+bool VmWcmaPredictor::Ready() const { return state_.history().full(); }
 
 void VmWcmaPredictor::Reset() {
-  history_ = HistoryMatrix(static_cast<std::size_t>(params_.days),
-                           static_cast<std::size_t>(slots_per_day_));
-  current_day_.assign(static_cast<std::size_t>(slots_per_day_), 0.0);
-  next_slot_ = 0;
-  last_sample_ = 0.0;
-  has_sample_ = false;
-  recent_.clear();
+  state_.Clear();
   total_cycles_ = 0.0;
   last_cycles_ = 0.0;
   total_ops_ = OpCounts{};

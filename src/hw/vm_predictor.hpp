@@ -5,9 +5,10 @@
 // streaming Predictor contract, but every steady-state PredictNext()
 // actually EXECUTES the compiled WCMA routine on the cycle-counted MicroVm
 // instead of evaluating Eq. 1 in C++.  The host side plays the part of the
-// firmware around the routine — it maintains the D×N history matrix and the
-// K-slot recent window (exactly as core/Wcma does), pokes the routine's
-// inputs into VM data memory each wake-up, and reads the prediction back —
+// firmware around the routine — it keeps the D×N history matrix and the
+// K-slot recent window in the WcmaState that core/Wcma uses, pokes the
+// routine's inputs into VM data memory each wake-up, and reads the
+// prediction back —
 // while the arithmetic that the paper's Table IV prices runs instruction by
 // instruction on the VM, accumulating exact cycle and operation counts.
 //
@@ -16,15 +17,15 @@
 // float reference to within FMA-contraction noise (ulps); the backend parity
 // harness (tests/backend_parity, tests/test_backend_parity) pins that bound.
 //
-// Warm-up corners mirror core/wcma.cpp: with fewer than K elapsed slots the
+// Warm-up corners match core/Wcma: with fewer than K elapsed slots the
 // routine compiled for the available window size runs (θ ramps over
-// k_avail), and before any full day exists the prediction degenerates to
-// persistence on the host with zero cycles charged — the VM models the
-// deployed steady-state routine, not the boot transient.
+// k_avail), and before any full day exists the prediction is
+// WcmaState::Predict's persistence fallback, evaluated on the host with
+// zero cycles charged — the VM models the deployed steady-state routine,
+// not the boot transient.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,6 @@
 #include "core/wcma_fixed.hpp"
 #include "hw/mcu_spec.hpp"
 #include "hw/vm.hpp"
-#include "timeseries/history.hpp"
 
 namespace shep {
 
@@ -66,23 +66,9 @@ class VmWcmaPredictor final : public Predictor, public ComputeCostReporter {
   const WcmaParams& params() const { return params_; }
 
  private:
-  /// One elapsed slot of the current day: the measured sample and the μ_D
-  /// that was current when it was measured (same bookkeeping as core/Wcma).
-  struct RecentSlot {
-    double sample;
-    double mu;
-  };
-
   WcmaParams params_;
-  int slots_per_day_;
   CycleCosts costs_;
-
-  HistoryMatrix history_;
-  std::vector<double> current_day_;
-  std::size_t next_slot_ = 0;
-  double last_sample_ = 0.0;
-  bool has_sample_ = false;
-  std::deque<RecentSlot> recent_;
+  WcmaState state_;
 
   /// Routine compiled once per available window size (index k_avail - 1);
   /// warm-up runs the shorter-window builds, steady state programs_[K-1].

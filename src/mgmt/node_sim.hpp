@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "core/predictor.hpp"
 #include "mgmt/duty_cycle.hpp"
@@ -32,7 +31,6 @@ struct NodeSimConfig {
 
 /// Aggregate outcome of a run.
 struct NodeSimResult {
-  std::string predictor_name;
   std::size_t slots = 0;            ///< scored slots (after warm-up).
   std::size_t violations = 0;       ///< slots where the store ran empty.
   double violation_rate = 0.0;
@@ -73,10 +71,11 @@ struct NodeSimResult {
 /// Runs `predictor` over `series` through the controller and store.
 /// The predictor is Reset() first.
 ///
-/// This is the virtual-dispatch entry point, kept for sweeps/examples and
-/// any predictor known only as a Predictor&.  The slot loop itself lives
-/// in mgmt/node_sim_kernel.hpp as a template the fleet runner instantiates
-/// on concrete predictor types (static dispatch, bit-identical results).
+/// This is the virtual-dispatch entry point, for sweeps, examples and any
+/// predictor known only as a Predictor&.  The slot loop itself lives in
+/// mgmt/node_sim_kernel.hpp as a template; the fleet runner instantiates
+/// it on the concrete type of every PredictorKind instead (static
+/// dispatch, bit-identical results).
 NodeSimResult SimulateNode(Predictor& predictor, const SlotSeries& series,
                            const NodeSimConfig& config);
 

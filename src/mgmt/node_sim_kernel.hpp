@@ -4,7 +4,7 @@
 // The fleet hot path runs this loop once per node, thousands of nodes per
 // shard, with two per-slot virtual calls (Observe, PredictNext) and one
 // per-run dynamic_cast (the ComputeCostReporter probe).  Instantiating the
-// kernel on the CONCRETE predictor type — every hot predictor class is
+// kernel on the CONCRETE predictor type — every predictor class is
 // `final` — lets the compiler devirtualize and inline the predictor into
 // the loop and resolve the cost probe at compile time.  The classic
 // virtual entry point, SimulateNode(Predictor&, ...), is this same kernel
@@ -12,7 +12,12 @@
 // semantics, two dispatch strategies, bit-identical results (pinned by
 // tests/test_node_kernel.cpp and the fleet golden suite).
 //
-// fleet/runner.cpp selects the concrete instantiation per PredictorKind;
+// The loop allocates nothing: every predictor sizes its state at
+// construction and its Reset() reuses that storage, which
+// tests/test_kernel_alloc.cpp checks for every kind, probed and faulted.
+//
+// fleet/runner.cpp instantiates the kernel on every PredictorKind's
+// concrete type through VisitPredictor (fleet/visit_predictor.hpp);
 // sweep/ and the examples keep calling the virtual entry point.
 #pragma once
 
@@ -90,7 +95,6 @@ NodeSimResult SimulateNodeKernel(  // shep-lint: root(hot-path-alloc)
   DutyCycleController controller(config.duty);
 
   NodeSimResult result;
-  result.predictor_name = predictor.Name();
   const double slot_s = config.duty.slot_seconds;
   const std::size_t warmup_slots =
       config.warmup_days * series.slots_per_day();

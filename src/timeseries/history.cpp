@@ -12,15 +12,29 @@ HistoryMatrix::HistoryMatrix(std::size_t capacity_days,
   SHEP_REQUIRE(capacity_ >= 1, "history capacity must be at least one day");
   SHEP_REQUIRE(slots_ >= 1, "history needs at least one slot per day");
   data_.assign(capacity_ * slots_, 0.0);
+  current_day_.assign(slots_, 0.0);
 }
 
-void HistoryMatrix::PushDay(std::span<const double> day_samples) {
-  SHEP_REQUIRE(day_samples.size() == slots_,
-               "day must contain exactly N slot samples");
-  std::copy(day_samples.begin(), day_samples.end(),
+void HistoryMatrix::Append(double sample) {
+  current_day_[next_slot_] = sample;
+  last_sample_ = sample;
+  has_sample_ = true;
+  if (++next_slot_ < slots_) return;
+  std::copy(current_day_.begin(), current_day_.end(),
             data_.begin() + static_cast<std::ptrdiff_t>(next_row_ * slots_));
   next_row_ = (next_row_ + 1) % capacity_;
   stored_ = std::min(stored_ + 1, capacity_);
+  next_slot_ = 0;
+}
+
+void HistoryMatrix::Clear() {
+  std::fill(data_.begin(), data_.end(), 0.0);
+  std::fill(current_day_.begin(), current_day_.end(), 0.0);
+  stored_ = 0;
+  next_row_ = 0;
+  next_slot_ = 0;
+  last_sample_ = 0.0;
+  has_sample_ = false;
 }
 
 double HistoryMatrix::at_age(std::size_t age, std::size_t slot) const {
@@ -42,16 +56,6 @@ double HistoryMatrix::Mu(std::size_t slot, std::size_t window_days) const {
   double acc = 0.0;
   for (std::size_t age = 0; age < w; ++age) acc += at_age(age, slot);
   return acc / static_cast<double>(w);
-}
-
-std::vector<double> HistoryMatrix::ColumnSums() const {
-  std::vector<double> sums(slots_, 0.0);
-  for (std::size_t age = 0; age < stored_; ++age) {
-    for (std::size_t slot = 0; slot < slots_; ++slot) {
-      sums[slot] += at_age(age, slot);
-    }
-  }
-  return sums;
 }
 
 }  // namespace shep

@@ -1,21 +1,24 @@
-// history.hpp — the E_{D×N} matrix of past days' slot samples (paper Fig. 3).
+// history.hpp — the E_{D×N} matrix of past days' slot samples (paper Fig. 3),
+// fed one slot at a time.
 //
 // The prediction algorithm keeps the boundary samples of the last D days in a
 // D×N matrix and uses the per-slot column averages μ_D(j) (Eq. 2).  On the
 // target microcontroller this matrix is the predictor's dominant memory cost
 // (D*N 16-bit words), which is why the paper's guideline "D ≈ 10–11 suffices"
-// matters.  HistoryMatrix is a day-granular ring buffer: pushing day D+1
-// evicts the oldest day in O(N).
+// matters.  HistoryMatrix is the streaming state every history-based
+// predictor shares: a day-granular ring buffer of completed days, plus
+// today's partial day, the slot cursor and the last sample.  Append feeds
+// one boundary sample; completing a day pushes it into the ring, evicting
+// the oldest day in O(N).  Storage is sized once, at construction.
 #pragma once
 
 #include <cstddef>
-#include <initializer_list>
-#include <span>
 #include <vector>
 
 namespace shep {
 
-/// Ring buffer of the last `capacity_days` days of per-slot samples.
+/// Ring buffer of the last `capacity_days` completed days of per-slot
+/// samples, plus the day in progress.
 class HistoryMatrix {
  public:
   /// \param capacity_days  D: how many past days are retained (>= 1).
@@ -25,26 +28,33 @@ class HistoryMatrix {
   std::size_t capacity_days() const { return capacity_; }
   std::size_t slots_per_day() const { return slots_; }
 
-  /// Number of days currently stored (saturates at capacity).
+  /// Number of completed days currently stored (saturates at capacity).
   std::size_t stored_days() const { return stored_; }
 
-  /// True once `capacity_days` days have been pushed; μ over the full window
-  /// is only meaningful then (the paper starts evaluation at day 21 so that
-  /// the matrix is full for D = 20).
+  /// True once `capacity_days` days have been completed; μ over the full
+  /// window is only meaningful then (the paper starts evaluation at day 21
+  /// so that the matrix is full for D = 20).
   bool full() const { return stored_ == capacity_; }
 
-  /// Appends a completed day's slot samples (size must equal N), evicting
-  /// the oldest day when at capacity.
-  void PushDay(std::span<const double> day_samples);
+  /// Records the boundary sample of slot next_slot() of the current day.
+  /// The sample that completes a day pushes that day into the matrix,
+  /// evicting the oldest day when at capacity, and the cursor wraps to 0.
+  void Append(double sample);
 
-  /// Convenience overload for literal days (tests, small examples).
-  void PushDay(std::initializer_list<double> day_samples) {
-    PushDay(std::span<const double>(day_samples.begin(),
-                                    day_samples.size()));
-  }
+  /// Slot-of-day the next Append fills.
+  std::size_t next_slot() const { return next_slot_; }
 
-  /// Sample of slot `slot` on the `age`-th most recent day (age 0 = the most
-  /// recently pushed day).  Requires age < stored_days().
+  /// True once any sample has been appended.
+  bool has_sample() const { return has_sample_; }
+
+  /// The most recently appended sample (0 before the first Append).
+  double last_sample() const { return last_sample_; }
+
+  /// Back to the just-constructed state, reusing the storage.
+  void Clear();
+
+  /// Sample of slot `slot` on the `age`-th most recent completed day (age 0
+  /// = the most recently completed day).  Requires age < stored_days().
   double at_age(std::size_t age, std::size_t slot) const;
 
   /// μ_D(slot): average of the slot's samples over the most recent
@@ -54,9 +64,6 @@ class HistoryMatrix {
 
   /// μ over the full capacity window (the common case in the predictor).
   double Mu(std::size_t slot) const { return Mu(slot, capacity_); }
-
-  /// Per-slot running sums over all stored days (used by tests).
-  std::vector<double> ColumnSums() const;
 
   /// Memory footprint of the sample storage in 16-bit words — the quantity
   /// the paper's parameter guideline targets ("conserving samples storage
@@ -69,6 +76,10 @@ class HistoryMatrix {
   std::size_t stored_ = 0;
   std::size_t next_row_ = 0;          // ring-buffer write position
   std::vector<double> data_;          // capacity x slots, row-major
+  std::vector<double> current_day_;   // today's samples so far
+  std::size_t next_slot_ = 0;
+  double last_sample_ = 0.0;
+  bool has_sample_ = false;
 };
 
 }  // namespace shep

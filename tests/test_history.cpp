@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <vector>
 
 namespace shep {
@@ -10,6 +11,14 @@ namespace {
 
 std::vector<double> DayOf(double value, std::size_t n) {
   return std::vector<double>(n, value);
+}
+
+// Appends one whole day, slot by slot.
+void PushDay(HistoryMatrix& h, const std::vector<double>& day) {
+  for (double v : day) h.Append(v);
+}
+void PushDay(HistoryMatrix& h, std::initializer_list<double> day) {
+  PushDay(h, std::vector<double>(day));
 }
 
 TEST(HistoryMatrix, StartsEmpty) {
@@ -22,20 +31,20 @@ TEST(HistoryMatrix, StartsEmpty) {
 
 TEST(HistoryMatrix, FillsToCapacity) {
   HistoryMatrix h(2, 4);
-  h.PushDay(DayOf(1.0, 4));
+  PushDay(h, DayOf(1.0, 4));
   EXPECT_EQ(h.stored_days(), 1u);
   EXPECT_FALSE(h.full());
-  h.PushDay(DayOf(2.0, 4));
+  PushDay(h, DayOf(2.0, 4));
   EXPECT_TRUE(h.full());
-  h.PushDay(DayOf(3.0, 4));
+  PushDay(h, DayOf(3.0, 4));
   EXPECT_EQ(h.stored_days(), 2u);  // saturates
 }
 
 TEST(HistoryMatrix, AtAgeOrdersNewestFirst) {
   HistoryMatrix h(3, 2);
-  h.PushDay({1.0, 10.0});
-  h.PushDay({2.0, 20.0});
-  h.PushDay({3.0, 30.0});
+  PushDay(h, {1.0, 10.0});
+  PushDay(h, {2.0, 20.0});
+  PushDay(h, {3.0, 30.0});
   EXPECT_DOUBLE_EQ(h.at_age(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(h.at_age(1, 0), 2.0);
   EXPECT_DOUBLE_EQ(h.at_age(2, 1), 10.0);
@@ -43,9 +52,9 @@ TEST(HistoryMatrix, AtAgeOrdersNewestFirst) {
 
 TEST(HistoryMatrix, EvictsOldestWhenFull) {
   HistoryMatrix h(2, 1);
-  h.PushDay({1.0});
-  h.PushDay({2.0});
-  h.PushDay({3.0});  // evicts 1.0
+  PushDay(h, {1.0});
+  PushDay(h, {2.0});
+  PushDay(h, {3.0});  // evicts 1.0
   EXPECT_DOUBLE_EQ(h.at_age(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(h.at_age(1, 0), 2.0);
   EXPECT_THROW(h.at_age(2, 0), std::invalid_argument);
@@ -54,18 +63,18 @@ TEST(HistoryMatrix, EvictsOldestWhenFull) {
 TEST(HistoryMatrix, MuIsColumnAverage) {
   // Eq. 2: μ_D(j) = Σ e(i,j) / D.
   HistoryMatrix h(3, 2);
-  h.PushDay({1.0, 4.0});
-  h.PushDay({2.0, 5.0});
-  h.PushDay({3.0, 6.0});
+  PushDay(h, {1.0, 4.0});
+  PushDay(h, {2.0, 5.0});
+  PushDay(h, {3.0, 6.0});
   EXPECT_DOUBLE_EQ(h.Mu(0), 2.0);
   EXPECT_DOUBLE_EQ(h.Mu(1), 5.0);
 }
 
 TEST(HistoryMatrix, MuWithSmallerWindowUsesNewestDays) {
   HistoryMatrix h(3, 1);
-  h.PushDay({1.0});
-  h.PushDay({2.0});
-  h.PushDay({9.0});
+  PushDay(h, {1.0});
+  PushDay(h, {2.0});
+  PushDay(h, {9.0});
   EXPECT_DOUBLE_EQ(h.Mu(0, 1), 9.0);
   EXPECT_DOUBLE_EQ(h.Mu(0, 2), 5.5);
   EXPECT_DOUBLE_EQ(h.Mu(0, 3), 4.0);
@@ -73,33 +82,51 @@ TEST(HistoryMatrix, MuWithSmallerWindowUsesNewestDays) {
 
 TEST(HistoryMatrix, MuBeforeFullUsesStoredDaysOnly) {
   HistoryMatrix h(5, 1);
-  h.PushDay({4.0});
-  h.PushDay({8.0});
+  PushDay(h, {4.0});
+  PushDay(h, {8.0});
   EXPECT_DOUBLE_EQ(h.Mu(0, 5), 6.0);  // window capped at stored days
 }
 
 TEST(HistoryMatrix, MuValidation) {
   HistoryMatrix h(2, 2);
   EXPECT_THROW(h.Mu(0), std::invalid_argument);  // empty
-  h.PushDay({1.0, 2.0});
+  PushDay(h, {1.0, 2.0});
   EXPECT_THROW(h.Mu(2), std::invalid_argument);     // bad slot
   EXPECT_THROW(h.Mu(0, 0), std::invalid_argument);  // zero window
   EXPECT_THROW(h.Mu(0, 3), std::invalid_argument);  // beyond capacity
 }
 
-TEST(HistoryMatrix, PushValidatesWidth) {
+TEST(HistoryMatrix, AppendRollsTheDayOverAtItsLastSlot) {
   HistoryMatrix h(2, 3);
-  EXPECT_THROW(h.PushDay(DayOf(1.0, 2)), std::invalid_argument);
+  EXPECT_FALSE(h.has_sample());
+  h.Append(1.0);
+  h.Append(2.0);
+  EXPECT_TRUE(h.has_sample());
+  EXPECT_DOUBLE_EQ(h.last_sample(), 2.0);
+  EXPECT_EQ(h.next_slot(), 2u);
+  EXPECT_EQ(h.stored_days(), 0u);  // the day is still in progress
+  h.Append(3.0);
+  EXPECT_EQ(h.next_slot(), 0u);
+  EXPECT_EQ(h.stored_days(), 1u);
+  EXPECT_DOUBLE_EQ(h.at_age(0, 2), 3.0);
+  h.Append(4.0);  // slot 0 of the next day
+  EXPECT_DOUBLE_EQ(h.Mu(0), 1.0);  // today's sample is not history yet
 }
 
-TEST(HistoryMatrix, ColumnSumsMatchManualSum) {
-  HistoryMatrix h(3, 2);
-  h.PushDay({1.0, 10.0});
-  h.PushDay({2.0, 20.0});
-  const auto sums = h.ColumnSums();
-  ASSERT_EQ(sums.size(), 2u);
-  EXPECT_DOUBLE_EQ(sums[0], 3.0);
-  EXPECT_DOUBLE_EQ(sums[1], 30.0);
+TEST(HistoryMatrix, ClearRestoresTheConstructedState) {
+  HistoryMatrix h(2, 2);
+  PushDay(h, {1.0, 2.0});
+  PushDay(h, {3.0, 4.0});
+  h.Append(5.0);
+  h.Clear();
+  EXPECT_EQ(h.stored_days(), 0u);
+  EXPECT_EQ(h.next_slot(), 0u);
+  EXPECT_FALSE(h.has_sample());
+  EXPECT_DOUBLE_EQ(h.last_sample(), 0.0);
+  PushDay(h, {7.0, 8.0});
+  EXPECT_EQ(h.stored_days(), 1u);
+  EXPECT_DOUBLE_EQ(h.Mu(0), 7.0);
+  EXPECT_DOUBLE_EQ(h.Mu(1), 8.0);
 }
 
 TEST(HistoryMatrix, FootprintWordsIsDtimesN) {
@@ -124,7 +151,7 @@ TEST_P(HistoryWindowTest, MuMatchesDirectAverage) {
   std::vector<double> pushed;
   for (int day = 0; day < 30; ++day) {
     const double v = 0.5 * day + (day % 3);
-    h.PushDay({v});
+    PushDay(h, {v});
     pushed.push_back(v);
     const std::size_t w = std::min(window, pushed.size());
     double acc = 0.0;

@@ -34,7 +34,6 @@ NodeSimConfig MakeConfig() {
 }
 
 void ExpectBitIdentical(const NodeSimResult& a, const NodeSimResult& b) {
-  EXPECT_EQ(a.predictor_name, b.predictor_name);
   EXPECT_EQ(a.slots, b.slots);
   EXPECT_EQ(a.violations, b.violations);
   EXPECT_EQ(a.violation_rate, b.violation_rate);

@@ -59,7 +59,6 @@ TEST(SimulateNode, ProducesConsistentAccounting) {
   EXPECT_GT(r.harvested_j, 0.0);
   EXPECT_GT(r.delivered_j, 0.0);
   EXPECT_GE(r.min_level_fraction, 0.0);
-  EXPECT_NE(r.predictor_name.find("WCMA"), std::string::npos);
 }
 
 TEST(SimulateNode, DeterministicForSamePredictor) {
