@@ -5,10 +5,11 @@
 // to develop dynamic parameters selection algorithms".  This class is such
 // an algorithm — the extension the paper motivates but does not build:
 //
-//   * maintain ONE shared WCMA state (history matrix, recent-slot window),
+//   * maintain ONE WCMA state (core/WcmaState: history matrix, recent-slot
+//     window sized for the largest candidate K),
 //   * at every slot evaluate Eq. 1 for a small candidate bank of (α, K)
-//     pairs (cheap: the Φ_K values for all K come from one pass over the
-//     shared window, and α only blends two precomputed terms),
+//     pairs (cheap: Φ_K for each K is WcmaState::Phi over the newest K
+//     slots of that window, and α only blends two precomputed terms),
 //   * score each candidate with an exponentially discounted absolute
 //     percentage error against the TRAPEZOIDAL slot-mean proxy
 //     (e(n)+e(n+1))/2 — not against the raw boundary sample.  This matters:

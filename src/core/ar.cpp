@@ -50,6 +50,7 @@ void ArPredictor::Features() const {
 }
 
 void ArPredictor::RlsUpdate(double target) {
+  Features();
   const std::vector<double>& x = features_;
   const auto dim = x.size();
   // k = P x / (λ + xᵀ P x)
@@ -90,10 +91,7 @@ void ArPredictor::Observe(double boundary_sample) {
   if (lit) {
     const double ratio = Clamp(boundary_sample / mu, 0.0, kMaxRatio);
     // Learn: the features BEFORE pushing this ratio predict it.
-    if (ratio_lags_.size() == ratio_lags_.capacity()) {
-      Features();
-      RlsUpdate(ratio);
-    }
+    if (ratio_lags_.size() == ratio_lags_.capacity()) RlsUpdate(ratio);
     ratio_lags_.push_back(ratio);
   } else {
     // Crossing night resets the dynamics; stale evening ratios do not

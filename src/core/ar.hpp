@@ -57,7 +57,7 @@ class ArPredictor final : public Predictor {
  private:
   /// Fills features_ from the lag buffer: [1, r(n), r(n-1), ...].
   void Features() const;
-  /// One RLS step on features_ towards `target`.
+  /// One RLS step from the current lags' features towards `target`.
   void RlsUpdate(double target);
 
   ArParams params_;

@@ -15,11 +15,7 @@ HistoryMatrix::HistoryMatrix(std::size_t capacity_days,
   current_day_.assign(slots_, 0.0);
 }
 
-void HistoryMatrix::Append(double sample) {
-  current_day_[next_slot_] = sample;
-  last_sample_ = sample;
-  has_sample_ = true;
-  if (++next_slot_ < slots_) return;
+void HistoryMatrix::PushCurrentDay() {
   std::copy(current_day_.begin(), current_day_.end(),
             data_.begin() + static_cast<std::ptrdiff_t>(next_row_ * slots_));
   next_row_ = (next_row_ + 1) % capacity_;

@@ -39,7 +39,12 @@ class HistoryMatrix {
   /// Records the boundary sample of slot next_slot() of the current day.
   /// The sample that completes a day pushes that day into the matrix,
   /// evicting the oldest day when at capacity, and the cursor wraps to 0.
-  void Append(double sample);
+  void Append(double sample) {
+    current_day_[next_slot_] = sample;
+    last_sample_ = sample;
+    has_sample_ = true;
+    if (++next_slot_ == slots_) PushCurrentDay();
+  }
 
   /// Slot-of-day the next Append fills.
   std::size_t next_slot() const { return next_slot_; }
@@ -71,6 +76,9 @@ class HistoryMatrix {
   std::size_t FootprintWords() const { return capacity_ * slots_; }
 
  private:
+  /// Copies the completed current day into the ring; rewinds the cursor.
+  void PushCurrentDay();
+
   std::size_t capacity_;
   std::size_t slots_;
   std::size_t stored_ = 0;
