@@ -24,8 +24,8 @@ void HistoryMatrix::PushCurrentDay() {
 }
 
 void HistoryMatrix::Clear() {
-  std::fill(data_.begin(), data_.end(), 0.0);
-  std::fill(current_day_.begin(), current_day_.end(), 0.0);
+  // Stale samples stay in the storage: at_age only reads stored days, and
+  // a day is pushed only after Append has overwritten all of its slots.
   stored_ = 0;
   next_row_ = 0;
   next_slot_ = 0;
