@@ -21,18 +21,21 @@ void AdaptiveWcmaParams::Validate() const {
                "discount must be in [0,1)");
 }
 
-int AdaptiveWcmaParams::max_k() const {
-  return *std::max_element(ks.begin(), ks.end());
+namespace {
+/// The largest candidate K (requires a validated, non-empty bank).
+int MaxK(const AdaptiveWcmaParams& params) {
+  return *std::max_element(params.ks.begin(), params.ks.end());
 }
+}  // namespace
 
 AdaptiveWcma::AdaptiveWcma(const AdaptiveWcmaParams& params,
                            int slots_per_day)
     : params_(Validated(params)),
       state_(static_cast<std::size_t>(params_.days),
              static_cast<std::size_t>(std::max(slots_per_day, 1)),
-             static_cast<std::size_t>(params_.max_k())) {
+             static_cast<std::size_t>(MaxK(params_))) {
   SHEP_REQUIRE(slots_per_day >= 2, "need at least two slots per day");
-  SHEP_REQUIRE(params_.max_k() < slots_per_day, "candidate K must be < N");
+  SHEP_REQUIRE(MaxK(params_) < slots_per_day, "candidate K must be < N");
   phi_by_k_.assign(params_.ks.size(), 1.0);
   candidate_pred_.assign(params_.candidates(), 0.0);
   candidate_loss_.assign(params_.candidates(), 0.0);

@@ -52,8 +52,6 @@ struct AdaptiveWcmaParams {
   void Validate() const;
 
   std::size_t candidates() const { return alphas.size() * ks.size(); }
-  /// The largest candidate K: the shared window's size.
-  int max_k() const;
 };
 
 /// Streaming WCMA with online (α, K) selection.
@@ -87,7 +85,7 @@ class AdaptiveWcma final : public Predictor {
   void RefreshCandidatePredictions();
 
   AdaptiveWcmaParams params_;
-  WcmaState state_;  ///< window of max_k() slots.
+  WcmaState state_;  ///< window sized for the largest candidate K.
 
   std::vector<double> phi_by_k_;         ///< Φ per candidate K (scratch).
   std::vector<double> candidate_pred_;   ///< ê_c for the upcoming slot.

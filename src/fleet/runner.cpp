@@ -32,13 +32,14 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 /// SimulateSpecNode's body: VisitPredictor builds the concrete predictor
 /// on the stack and the kernel is instantiated on its type, for every
 /// kind.  Parameterized on the kernel's slot probe and fault model so the
-/// traced/untraced and faulted/healthy paths share one definition.  With NoSlotProbe the probe
-/// call sites vanish and this IS the untraced hot path; with NodeTraceProbe
-/// each slot is offered to the worker's ring.  Likewise NoFaultModel
-/// compiles the fault branches away entirely, while FaultModel (built from
-/// a precomputed per-node schedule) injects outages, dropouts, and
-/// degradation.  Neither hook feeds back into the healthy simulation, so
-/// the healthy instantiations all produce bit-identical results.
+/// traced/untraced and faulted/healthy paths share one definition.  With
+/// NoSlotProbe the probe call sites vanish and this IS the untraced hot
+/// path; with NodeTraceProbe each slot is offered to the worker's ring.
+/// Likewise NoFaultModel compiles the fault branches away entirely, while
+/// FaultModel (built from a precomputed per-node schedule) injects
+/// outages, dropouts, and degradation.  Neither hook feeds back into the
+/// healthy simulation, so the healthy instantiations all produce
+/// bit-identical results.
 template <class Probe, class Faults>
 NodeSimResult SimulateSpecNodeImpl(const PredictorSpec& spec,
                                    int slots_per_day,
