@@ -1,6 +1,7 @@
 #include "fleet/coord.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -9,18 +10,12 @@
 #include <cerrno>
 #include <chrono>
 #include <cstddef>
-#include <condition_variable>
 #include <deque>
 #include <filesystem>
-#include <istream>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "common/check.hpp"
@@ -39,11 +34,10 @@ std::string EncodeFleetJob(const FleetWorkerJob& job) {
                "trace directory must not contain a newline");
   const std::string spec_text = job.spec.Describe();
   std::ostringstream os;
-  os << "shep-fleet-job v1\n";
+  os << "shep-fleet-job v2\n";
   os << "fingerprint " << job.fingerprint << '\n';
   os << "shard-size " << job.shard_size << '\n';
   os << "threads " << job.threads << '\n';
-  os << "heartbeat-ms " << job.heartbeat_ms << '\n';
   // The directory is the rest of the line ("-" = telemetry off), so paths
   // with spaces survive.
   os << "trace-dir " << (job.trace_dir.empty() ? "-" : job.trace_dir) << '\n';
@@ -54,7 +48,7 @@ std::string EncodeFleetJob(const FleetWorkerJob& job) {
 
 FleetWorkerJob ParseFleetJob(std::istream& in) {
   serdes::ExpectToken(in, "shep-fleet-job");
-  serdes::ExpectToken(in, "v1");
+  serdes::ExpectToken(in, "v2");
   FleetWorkerJob job;
   serdes::ExpectToken(in, "fingerprint");
   job.fingerprint = serdes::ReadU64(in);
@@ -62,8 +56,6 @@ FleetWorkerJob ParseFleetJob(std::istream& in) {
   job.shard_size = static_cast<std::size_t>(serdes::ReadU64(in));
   serdes::ExpectToken(in, "threads");
   job.threads = static_cast<std::size_t>(serdes::ReadU64(in));
-  serdes::ExpectToken(in, "heartbeat-ms");
-  job.heartbeat_ms = static_cast<std::uint32_t>(serdes::ReadU64(in));
   serdes::ExpectToken(in, "trace-dir");
   in >> std::ws;
   std::string dir;
@@ -73,10 +65,18 @@ FleetWorkerJob ParseFleetJob(std::istream& in) {
   serdes::ExpectToken(in, "spec");
   const std::uint64_t spec_bytes = serdes::ReadU64(in);
   SHEP_REQUIRE(in.get() == '\n', "fleet job spec must start on a new line");
-  std::string spec_text(spec_bytes, '\0');
-  in.read(spec_text.data(), static_cast<std::streamsize>(spec_bytes));
-  SHEP_REQUIRE(in.gcount() == static_cast<std::streamsize>(spec_bytes),
-               "fleet job ended inside the spec text");
+  // Read in chunks: the count comes off the wire, so storage grows only
+  // with bytes that actually arrive.
+  std::string spec_text;
+  char chunk[4096];
+  while (spec_text.size() < spec_bytes) {
+    const auto take = static_cast<std::size_t>(
+        std::min<std::uint64_t>(spec_bytes - spec_text.size(), sizeof chunk));
+    in.read(chunk, static_cast<std::streamsize>(take));
+    SHEP_REQUIRE(in.gcount() == static_cast<std::streamsize>(take),
+                 "fleet job ended inside the spec text");
+    spec_text.append(chunk, take);
+  }
   job.spec = ParseScenarioSpec(spec_text);
   serdes::ExpectToken(in, "end-job");
   return job;
@@ -124,63 +124,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Buffered reader over a pipe fd: the frame protocol needs both
-/// line-at-a-time and exact-byte reads from one stream.
-class FdReader {
- public:
-  explicit FdReader(int fd) : fd_(fd) {}
+/// Shards dispatched to a worker ahead of completion: 2 hides the dispatch
+/// round-trip, and every frame still carries exactly one shard.
+constexpr std::size_t kMaxInflightPerWorker = 2;
 
-  /// Next '\n'-terminated line without the terminator; nullopt on EOF (a
-  /// final unterminated line is discarded — a dying worker's half-written
-  /// line is never actionable).
-  std::optional<std::string> ReadLine() {
-    std::string line;
-    while (true) {
-      for (; pos_ < len_; ++pos_) {
-        if (buf_[pos_] == '\n') {
-          ++pos_;
-          return line;
-        }
-        line.push_back(buf_[pos_]);
-      }
-      if (!Fill()) return std::nullopt;
-    }
-  }
-
-  /// Exactly `n` bytes into `out`; false on EOF before they all arrive.
-  /// The reservation is capped: `n` comes off the wire, and the bytes
-  /// behind a lying count may never arrive.
-  bool ReadExact(std::string& out, std::size_t n) {
-    out.clear();
-    out.reserve(std::min<std::size_t>(n, std::size_t{1} << 20));
-    while (out.size() < n) {
-      if (pos_ == len_ && !Fill()) return false;
-      const std::size_t take = std::min(n - out.size(), len_ - pos_);
-      out.append(buf_ + pos_, take);
-      pos_ += take;
-    }
-    return true;
-  }
-
- private:
-  bool Fill() {
-    pos_ = len_ = 0;
-    while (true) {
-      const ssize_t got = ::read(fd_, buf_, sizeof buf_);
-      if (got > 0) {
-        len_ = static_cast<std::size_t>(got);
-        return true;
-      }
-      if (got == 0) return false;
-      if (errno != EINTR) return false;
-    }
-  }
-
-  int fd_;
-  char buf_[1 << 16];
-  std::size_t pos_ = 0;
-  std::size_t len_ = 0;
-};
+constexpr std::string_view kFrameTrailer = "end-frame\n";
 
 /// Writes the whole buffer; false on any error (EPIPE = worker death).
 bool WriteAll(int fd, std::string_view data) {
@@ -217,23 +165,18 @@ struct WorkerProc {
   pid_t pid = -1;
   int stdin_fd = -1;
   int stdout_fd = -1;
-  std::thread reader;
-
-  // Guarded by the coordinator mutex:
-  bool alive = true;    ///< streaming, and its stdin still takes writes.
-  bool faulty = false;  ///< sent a corrupt frame; must be killed.
+  bool alive = true;    ///< still read: no end of file, "bye" or "error".
+  bool faulty = false;  ///< sent a corrupt frame or missed a deadline.
   bool reaped = false;
   Clock::time_point last_activity;
-  std::set<std::size_t> inflight;                 ///< dispatched shards.
-  std::map<std::size_t, Clock::time_point> sent;  ///< dispatch times.
+  std::string input;  ///< bytes read but not yet taken as lines or frames.
+  /// Dispatched, unanswered shards and when each was sent.
+  std::map<std::size_t, Clock::time_point> inflight;
   LaneGroup rest;  ///< undispatched rest of its current lane group.
   std::vector<bool> lanes_held;  ///< lanes of every shard handed to it.
 };
 
 struct CoordState {
-  std::mutex mutex;
-  std::condition_variable cv;
-
   const ShardPlan* plan = nullptr;
   std::vector<ShardState> shard_state;
   std::vector<std::vector<std::size_t>> shard_lanes;  ///< per shard.
@@ -241,95 +184,114 @@ struct CoordState {
   std::vector<std::optional<FleetPartial>> partials;  ///< per shard.
   std::vector<std::size_t> winning_spawn;             ///< per shard.
   std::size_t done = 0;
+  /// Reaped spawns that never had a frame accepted; the respawn budget.
+  std::size_t unproductive_ends = 0;
 
-  std::vector<std::unique_ptr<WorkerProc>> workers;
+  std::vector<WorkerProc> workers;
   std::string last_worker_error;
   FleetCoordStats stats;
 };
 
-/// Per-worker reader thread: the data plane.  Every byte refreshes the
-/// liveness timestamp; frames are checked (checksum, parse, fingerprint,
-/// exactly the announced shard) and the first valid frame per shard wins.
-void ReaderMain(CoordState& state, WorkerProc& worker) {
-  FdReader reader(worker.stdout_fd);
-  while (true) {
-    std::optional<std::string> line = reader.ReadLine();
-    if (!line) break;
-    {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      worker.last_activity = Clock::now();
+/// The checked partial a frame carries, or nullopt when the frame lies:
+/// bad checksum, unparseable payload, foreign fingerprint, or not exactly
+/// the announced shard.
+std::optional<FleetPartial> CheckFrame(const ShardPlan& plan,
+                                       const FleetFrameHeader& header,
+                                       std::string_view payload) {
+  if (FleetFrameChecksum(payload) != header.checksum) return std::nullopt;
+  try {
+    FleetPartial parsed = FleetPartial::Parse(std::string(payload));
+    if (parsed.plan_fingerprint == plan.fingerprint &&
+        parsed.shards.size() == 1 && parsed.shards[0].shard == header.shard &&
+        header.shard < plan.shards.size()) {
+      return parsed;
     }
-    if (*line == "hb") continue;
-    if (*line == "bye") break;
-    if (line->rfind("error ", 0) == 0) {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      state.last_worker_error = line->substr(6);
-      break;  // the worker is about to exit; EOF follows.
-    }
-    if (line->rfind("frame ", 0) != 0) continue;  // forward compatibility.
+  } catch (const std::exception&) {
+    // fall through: corrupt.
+  }
+  return std::nullopt;
+}
 
-    // Header + payload + trailer, off-lock (pipe reads may block).  A
-    // header that does not parse is a lie, like a bad checksum.
-    const std::optional<FleetFrameHeader> header =
-        ParseFleetFrameHeader(*line);
-    std::optional<FleetPartial> partial;
-    if (header) {
-      std::string payload;
-      bool ok = reader.ReadExact(payload, header->bytes);
-      if (ok) {
-        std::optional<std::string> trailer = reader.ReadLine();
-        ok = trailer && *trailer == "end-frame";
+/// Records one checked frame; the first valid frame per shard wins.
+void AcceptFrame(CoordState& state, WorkerProc& worker,
+                 const FleetFrameHeader& header, FleetPartial partial) {
+  const std::size_t shard = header.shard;
+  worker.inflight.erase(shard);
+  FleetCoordStats& stats = state.stats;
+  if (state.shard_state[shard] == ShardState::kDone) {
+    ++stats.duplicate_frames;  // a reassigned shard finished twice.
+    return;
+  }
+  state.shard_state[shard] = ShardState::kDone;
+  ++stats.frames_accepted;
+  ++stats.frames_per_spawn[worker.spawn];
+  stats.lanes_synthesized += static_cast<std::size_t>(header.lanes_synthesized);
+  stats.worker_synth_seconds += partial.synth_seconds;
+  stats.worker_sim_seconds += partial.sim_seconds;
+  state.partials[shard] = std::move(partial);
+  state.winning_spawn[shard] = worker.spawn;
+  ++state.done;
+}
+
+/// Takes every complete line and whole frame out of the worker's input
+/// buffer, leaving a partial one for the next read.  Stops reading the
+/// worker for good on "bye", "error" (it is about to exit) or a lying
+/// frame (its framing can no longer be trusted, so it becomes faulty).
+void TakeInput(CoordState& state, WorkerProc& worker) {
+  std::string_view input = worker.input;
+  while (worker.alive && !worker.faulty) {
+    const std::size_t eol = input.find('\n');
+    if (eol == std::string_view::npos) break;
+    const std::string_view line = input.substr(0, eol);
+    if (line == "bye") {
+      worker.alive = false;
+    } else if (line.rfind("error ", 0) == 0) {
+      state.last_worker_error = std::string(line.substr(6));
+      worker.alive = false;
+    } else if (line.rfind("frame ", 0) == 0) {
+      // A header that does not parse, or a frame its trailer does not
+      // close, is a lie, like a bad checksum.
+      const std::optional<FleetFrameHeader> header =
+          ParseFleetFrameHeader(line);
+      const std::size_t payload_at = eol + 1;
+      if (header && input.size() - payload_at <
+                        header->bytes + kFrameTrailer.size()) {
+        break;  // the rest of the frame has not arrived yet.
       }
-      if (!ok) break;  // stream died mid-frame: plain worker death.
-
-      // Validate the frame itself; any lie makes the worker faulty (its
-      // framing can no longer be trusted, so stop reading it entirely).
-      if (FleetFrameChecksum(payload) == header->checksum) {
-        try {
-          FleetPartial parsed = FleetPartial::Parse(payload);
-          if (parsed.plan_fingerprint == state.plan->fingerprint &&
-              parsed.shards.size() == 1 &&
-              parsed.shards[0].shard == header->shard &&
-              header->shard < state.plan->shards.size()) {
-            partial = std::move(parsed);
-          }
-        } catch (const std::exception&) {
-          // fall through: corrupt.
-        }
+      std::optional<FleetPartial> partial;
+      if (header && input.substr(payload_at + header->bytes,
+                                 kFrameTrailer.size()) == kFrameTrailer) {
+        partial = CheckFrame(*state.plan, *header,
+                             input.substr(payload_at, header->bytes));
       }
-    }
-
-    std::unique_lock<std::mutex> lock(state.mutex);
-    worker.last_activity = Clock::now();
-    if (!partial) {
-      ++state.stats.corrupt_frames;
-      worker.faulty = true;
-      state.cv.notify_all();
-      break;
-    }
-    const std::size_t shard = header->shard;
-    worker.inflight.erase(shard);
-    worker.sent.erase(shard);
-    if (state.shard_state[shard] == ShardState::kDone) {
-      ++state.stats.duplicate_frames;  // a reassigned shard finished twice.
+      if (!partial) {
+        ++state.stats.corrupt_frames;
+        worker.faulty = true;
+        break;
+      }
+      AcceptFrame(state, worker, *header, std::move(*partial));
+      input.remove_prefix(payload_at + header->bytes + kFrameTrailer.size());
       continue;
     }
-    state.shard_state[shard] = ShardState::kDone;
-    FleetCoordStats& stats = state.stats;
-    ++stats.frames_accepted;
-    ++stats.frames_per_spawn[worker.spawn];
-    stats.lanes_synthesized +=
-        static_cast<std::size_t>(header->lanes_synthesized);
-    stats.worker_synth_seconds += partial->synth_seconds;
-    stats.worker_sim_seconds += partial->sim_seconds;
-    state.partials[shard] = std::move(partial);
-    state.winning_spawn[shard] = worker.spawn;
-    ++state.done;
-    state.cv.notify_all();
+    // "hb", and unknown lines for forward compatibility: activity only.
+    input.remove_prefix(eol + 1);
   }
-  std::lock_guard<std::mutex> lock(state.mutex);
-  worker.alive = false;
-  state.cv.notify_all();
+  worker.input.erase(0, worker.input.size() - input.size());
+}
+
+/// One read from a worker whose stdout poll() reported ready.  End of file
+/// is the worker's death, whatever half line or half frame is buffered.
+void ReadWorker(CoordState& state, WorkerProc& worker) {
+  char buf[1 << 16];
+  const ssize_t got = ::read(worker.stdout_fd, buf, sizeof buf);
+  if (got < 0 && errno == EINTR) return;
+  if (got <= 0) {
+    worker.alive = false;
+    return;
+  }
+  worker.last_activity = Clock::now();
+  worker.input.append(buf, static_cast<std::size_t>(got));
+  TakeInput(state, worker);
 }
 
 // shep-lint: root(signal-safety)
@@ -367,50 +329,59 @@ void SpawnWorker(CoordState& state, const FleetCoordOptions& options,
   ::close(to_child[0]);
   ::close(from_child[1]);
 
-  auto worker = std::make_unique<WorkerProc>();
-  worker->spawn = spawn;
-  worker->pid = pid;
-  worker->stdin_fd = to_child[1];
-  worker->stdout_fd = from_child[0];
-  worker->last_activity = Clock::now();
-  worker->lanes_held.assign(state.plan->lanes.size(), false);
+  WorkerProc& worker = state.workers.emplace_back();
+  worker.spawn = spawn;
+  worker.pid = pid;
+  worker.stdin_fd = to_child[1];
+  worker.stdout_fd = from_child[0];
+  worker.last_activity = Clock::now();
+  worker.lanes_held.assign(state.plan->lanes.size(), false);
   // The job header is far smaller than the pipe buffer, so this never
   // blocks even against a worker that dies before reading it.
-  if (!WriteAll(worker->stdin_fd, job_text)) worker->faulty = true;
-  WorkerProc& ref = *worker;
-  {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    ++state.stats.workers_spawned;
-    state.stats.frames_per_spawn.push_back(0);
-    state.workers.push_back(std::move(worker));
-  }
-  ref.reader = std::thread([&state, &ref] { ReaderMain(state, ref); });
+  if (!WriteAll(worker.stdin_fd, job_text)) worker.faulty = true;
+  ++state.stats.workers_spawned;
+  state.stats.frames_per_spawn.push_back(0);
   if (options.on_spawn) options.on_spawn(spawn, static_cast<long>(pid));
 }
 
-/// Kills (if needed), joins, reaps, and requeues one worker's uncovered
-/// shards — in-flight ones and its undispatched rest — as one group at the
-/// front of the queue.  Called with the lock HELD; drops it around the
-/// blocking join and waitpid (the reader thread itself takes the lock).
-void ReapWorker(CoordState& state, std::unique_lock<std::mutex>& lock,
-                WorkerProc& worker, bool was_killed) {
+/// When the worker turns faulty unless it sends something: its liveness
+/// deadline, or an earlier deadline of a shard it has not answered.
+Clock::time_point Deadline(const WorkerProc& worker,
+                           Clock::duration shard_timeout) {
+  Clock::time_point at = worker.last_activity + kFleetLivenessTimeout;
+  for (const auto& [shard, sent_at] : worker.inflight) {
+    at = std::min(at, sent_at + shard_timeout);
+  }
+  return at;
+}
+
+/// Ends a worker process: SIGKILL (a no-op on an exited pid), close its
+/// pipes, reap it.
+void StopWorker(WorkerProc& worker) {
   worker.reaped = true;
-  lock.unlock();
+  ::kill(worker.pid, SIGKILL);
   ::close(worker.stdin_fd);
-  ::kill(worker.pid, SIGKILL);  // no-op on an already-dead pid (ESRCH).
-  if (worker.reader.joinable()) worker.reader.join();
   ::close(worker.stdout_fd);
   int status = 0;
   ::waitpid(worker.pid, &status, 0);
-  lock.lock();
-  if (was_killed) {
+}
+
+/// Stops one dead or condemned worker and requeues its uncovered shards —
+/// in-flight ones and its undispatched rest — as one group at the front of
+/// the queue.
+void ReapWorker(CoordState& state, WorkerProc& worker) {
+  StopWorker(worker);
+  if (worker.faulty) {
     ++state.stats.workers_killed;
   } else {
     ++state.stats.workers_died;
   }
+  if (state.stats.frames_per_spawn[worker.spawn] == 0) {
+    ++state.unproductive_ends;
+  }
   LaneGroup requeued = std::move(worker.rest);
   worker.rest.clear();
-  for (std::size_t shard : worker.inflight) {
+  for (const auto& [shard, sent_at] : worker.inflight) {
     if (state.shard_state[shard] == ShardState::kInflight) {
       state.shard_state[shard] = ShardState::kPending;
       requeued.push_back(shard);
@@ -418,7 +389,6 @@ void ReapWorker(CoordState& state, std::unique_lock<std::mutex>& lock,
     }
   }
   worker.inflight.clear();
-  worker.sent.clear();
   if (!requeued.empty()) {
     std::sort(requeued.begin(), requeued.end());
     state.pending.push_front(std::move(requeued));
@@ -453,10 +423,10 @@ bool TakeWork(CoordState& state, WorkerProc& worker) {
   }
   if (!worker.inflight.empty()) return false;
   WorkerProc* victim = nullptr;
-  for (const auto& other : state.workers) {
-    if (other->reaped || other->rest.size() < 2) continue;
-    if (victim == nullptr || other->rest.size() > victim->rest.size()) {
-      victim = other.get();
+  for (WorkerProc& other : state.workers) {
+    if (other.reaped || other.rest.size() < 2) continue;
+    if (victim == nullptr || other.rest.size() > victim->rest.size()) {
+      victim = &other;
     }
   }
   if (victim == nullptr) return false;
@@ -533,10 +503,6 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
   SHEP_REQUIRE(!options.worker_path.empty(),
                "coordinator needs a worker binary path");
   SHEP_REQUIRE(options.workers > 0, "coordinator needs at least one worker");
-  SHEP_REQUIRE(options.max_inflight_per_worker > 0,
-               "max_inflight_per_worker must be positive");
-  const std::size_t respawn_budget =
-      options.max_respawns != 0 ? options.max_respawns : 2 * options.workers;
 
   const ShardPlan plan = BuildShardPlan(spec, options.shard_size);
 
@@ -544,7 +510,6 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
   job.spec = plan.matrix.spec;  // slot_seconds already forced by expansion.
   job.shard_size = options.shard_size;
   job.threads = options.worker_threads;
-  job.heartbeat_ms = options.heartbeat_ms;
   job.fingerprint = plan.fingerprint;
 
   CoordState state;
@@ -575,72 +540,45 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
   };
 
   // Everything below must tear the fleet down on ANY exit path — a leaked
-  // child would outlive the run and keep writing into freed state.
+  // child would outlive the run and keep writing into its pipes.  A worker
+  // mid-shard would finish the shard before noticing a closed stdin, so
+  // SIGKILL keeps shutdown prompt (every needed frame is already accepted).
   auto shutdown = [&] {
-    std::unique_lock<std::mutex> lock(state.mutex);
-    for (auto& worker : state.workers) {
-      if (worker->reaped) continue;
-      worker->reaped = true;
-      lock.unlock();
-      WriteAll(worker->stdin_fd, "quit\n");
-      ::close(worker->stdin_fd);
-      // A worker mid-shard ignores quit until done; SIGKILL keeps
-      // shutdown prompt (every needed frame has already been accepted).
-      ::kill(worker->pid, SIGKILL);
-      if (worker->reader.joinable()) worker->reader.join();
-      ::close(worker->stdout_fd);
-      int status = 0;
-      ::waitpid(worker->pid, &status, 0);
-      lock.lock();
+    for (WorkerProc& worker : state.workers) {
+      if (!worker.reaped) StopWorker(worker);
     }
   };
 
   try {
     for (std::size_t i = 0; i < options.workers; ++i) spawn_one();
 
-    std::unique_lock<std::mutex> lock(state.mutex);
-    const auto liveness =
-        std::chrono::milliseconds(options.liveness_timeout_ms);
-    const auto shard_deadline =
-        std::chrono::milliseconds(options.shard_timeout_ms);
+    const std::chrono::milliseconds shard_timeout(options.shard_timeout_ms);
+    std::vector<pollfd> fds;
+    std::vector<WorkerProc*> polled;
     while (state.done < plan.shards.size()) {
       const Clock::time_point now = Clock::now();
-
       // Deadlines: silence => dead, an unanswered shard => straggler.
-      // Both become "faulty" so one reap path below handles everything.
-      for (auto& worker : state.workers) {
-        if (worker->reaped || !worker->alive || worker->faulty) continue;
-        if (now - worker->last_activity > liveness) {
-          worker->faulty = true;
-          continue;
-        }
-        for (const auto& [shard, sent_at] : worker->sent) {
-          if (now - sent_at > shard_deadline) {
-            worker->faulty = true;
-            break;
-          }
-        }
-      }
-
-      // Reap every dead or condemned worker and requeue its shards.
-      for (auto& worker : state.workers) {
-        if (worker->reaped) continue;
-        if (!worker->alive || worker->faulty) {
-          ReapWorker(state, lock, *worker, worker->faulty);
-        }
-      }
-
-      // Keep the fleet at strength while work remains.
+      // Both make the worker "faulty", and one reap path handles every
+      // dead or condemned worker and requeues its shards.
       std::size_t live = 0;
-      for (const auto& worker : state.workers) {
-        if (!worker->reaped) ++live;
+      for (WorkerProc& worker : state.workers) {
+        if (worker.reaped) continue;
+        if (worker.alive && now >= Deadline(worker, shard_timeout)) {
+          worker.faulty = true;
+        }
+        if (!worker.alive || worker.faulty) {
+          ReapWorker(state, worker);
+        } else {
+          ++live;
+        }
       }
-      while (live < options.workers && state.done < plan.shards.size() &&
-             state.stats.respawns < respawn_budget) {
+
+      // Keep the fleet at strength while work remains and spawns keep
+      // paying off (see RunFleetCoordinated's contract).
+      while (live < options.workers &&
+             state.unproductive_ends < 2 * options.workers) {
         ++state.stats.respawns;
-        lock.unlock();
         spawn_one();
-        lock.lock();
         ++live;
       }
       if (live == 0) {
@@ -653,34 +591,42 @@ FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
       }
 
       // Dispatch: refill every live worker up to its inflight window, each
-      // from its own lane group.
-      for (auto& worker : state.workers) {
-        if (worker->reaped || !worker->alive || worker->faulty) continue;
-        while (worker->inflight.size() < options.max_inflight_per_worker) {
-          if (worker->rest.empty() && !TakeWork(state, *worker)) break;
-          const std::size_t shard = worker->rest.front();
-          worker->rest.pop_front();
+      // from its own lane group.  Then wait for input or the earliest
+      // deadline, and take what arrived.
+      Clock::time_point wake = Clock::time_point::max();
+      fds.clear();
+      polled.clear();
+      for (WorkerProc& worker : state.workers) {
+        if (worker.reaped || !worker.alive || worker.faulty) continue;
+        while (worker.inflight.size() < kMaxInflightPerWorker) {
+          if (worker.rest.empty() && !TakeWork(state, worker)) break;
+          const std::size_t shard = worker.rest.front();
+          worker.rest.pop_front();
           state.shard_state[shard] = ShardState::kInflight;
-          worker->inflight.insert(shard);
-          worker->sent.emplace(shard, Clock::now());
-          const std::string command = "run " + std::to_string(shard) + "\n";
-          const int fd = worker->stdin_fd;
-          lock.unlock();
-          const bool sent_ok = WriteAll(fd, command);
-          lock.lock();
-          if (!sent_ok) {
-            // EPIPE: the worker is already gone (its reader just has not
-            // seen the EOF yet), so it is reaped next iteration as a
-            // death, not as a kill.
-            worker->alive = false;
+          worker.inflight.emplace(shard, Clock::now());
+          if (!WriteAll(worker.stdin_fd,
+                        "run " + std::to_string(shard) + "\n")) {
+            // EPIPE: the worker has exited.  Its stdout still holds what it
+            // wrote before dying, then end of file, which reaps it as a
+            // death with this shard requeued.
             break;
           }
         }
+        wake = std::min(wake, Deadline(worker, shard_timeout));
+        fds.push_back({worker.stdout_fd, POLLIN, 0});
+        polled.push_back(&worker);
       }
-
-      state.cv.wait_for(lock, std::chrono::milliseconds(10));
+      if (polled.empty()) continue;  // every new spawn is already condemned.
+      const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+          wake - Clock::now());
+      const int ready =
+          ::poll(fds.data(), fds.size(),
+                 static_cast<int>(std::max<std::int64_t>(wait.count(), 0)));
+      SHEP_CHECK(ready >= 0 || errno == EINTR, "coordinator poll failed");
+      for (std::size_t i = 0; ready > 0 && i < fds.size(); ++i) {
+        if (fds[i].revents != 0) ReadWorker(state, *polled[i]);
+      }
     }
-    lock.unlock();
     shutdown();
   } catch (...) {
     shutdown();

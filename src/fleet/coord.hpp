@@ -23,15 +23,16 @@
 //
 // Control plane vs data plane (the caldera heartbeat/transport split):
 // workers emit a heartbeat line between frames from a dedicated thread,
-// and the coordinator's per-worker reader threads timestamp every byte.
-// A deadline loop turns silence into death (SIGKILL + reap), a per-shard
-// deadline turns a hung-but-heartbeating worker into a straggler (same
-// treatment), and either way the victim's in-flight shards and its
-// undispatched rest go back to the front of the queue as one group for
-// the survivors — safe by construction, because every frame carries one
-// shard and MergeFleetPartials rejects duplicate coverage, so the merge is
-// over exactly one accepted frame per shard.  First valid frame wins; late
-// duplicates from a killed straggler are counted and discarded.
+// and the coordinator's one poll(2) loop over the workers' stdout pipes
+// timestamps every read and cuts each worker's input into whole lines and
+// frames.  Silence past the liveness deadline means death (SIGKILL +
+// reap), a per-shard deadline turns a hung-but-heartbeating worker into a
+// straggler (same treatment), and either way the victim's in-flight shards
+// and its undispatched rest go back to the front of the queue as one group
+// for the survivors — safe by construction, because every frame carries
+// one shard and MergeFleetPartials rejects duplicate coverage, so the
+// merge is over exactly one accepted frame per shard.  First valid frame
+// wins, and a reaped worker is never read again.
 //
 // The merged summary is bit-identical to single-process RunFleet at any
 // worker count and any kill/reassignment schedule (pinned by
@@ -39,6 +40,7 @@
 // the merge folds in plan order regardless of which process computed what.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -56,6 +58,12 @@ namespace shep {
 
 // ---- Wire protocol (shared by coordinator and worker binary) -------------
 
+/// Worker heartbeat period: each worker writes an "hb" line this often.
+inline constexpr std::chrono::milliseconds kFleetHeartbeatPeriod{100};
+
+/// No bytes at all from a worker for this long (50 heartbeats) => dead.
+inline constexpr std::chrono::milliseconds kFleetLivenessTimeout{5000};
+
 /// Everything a worker needs before its first shard: the campaign itself
 /// plus the knobs that must agree with the coordinator's plan.
 struct FleetWorkerJob {
@@ -63,9 +71,6 @@ struct FleetWorkerJob {
   std::size_t shard_size = 8;
   /// Worker-local simulation threads (1 = serial).  Never changes results.
   std::size_t threads = 1;
-  /// Worker heartbeat period; the coordinator's liveness deadline should
-  /// be a comfortable multiple of this.
-  std::uint32_t heartbeat_ms = 100;
   /// Expected plan fingerprint.  The worker rebuilds the plan from (spec,
   /// shard_size) and refuses the job when its fingerprint disagrees —
   /// catching coordinator/worker version skew before any work runs.
@@ -123,19 +128,9 @@ struct FleetCoordOptions {
   std::size_t shard_size = 8;
   /// Simulation threads per worker; 1 keeps the scaling curve honest.
   std::size_t worker_threads = 1;
-  /// Shards dispatched to a worker ahead of completion; >1 hides the
-  /// dispatch round-trip, and every frame still carries exactly one shard.
-  std::size_t max_inflight_per_worker = 2;
-  std::uint32_t heartbeat_ms = 100;
-  /// No bytes at all from a worker for this long => dead.
-  std::uint32_t liveness_timeout_ms = 5000;
   /// A dispatched shard unanswered for this long => the worker is a
   /// straggler (possibly hung but still heartbeating) and is killed.
   std::uint32_t shard_timeout_ms = 120000;
-  /// Replacement workers the run may spawn after deaths; when the budget
-  /// is exhausted and no live worker remains, the run throws.  0 picks
-  /// 2 * workers.
-  std::size_t max_respawns = 0;
   /// Telemetry root (empty = off).  Each spawn writes its shard trace
   /// files into <trace_dir>/worker-<spawn>/; after the run the
   /// coordinator moves each ACCEPTED shard's file up into <trace_dir> and
@@ -185,8 +180,11 @@ struct FleetCoordStats {
 
 /// Runs the campaign across `options.workers` worker processes and merges
 /// the streamed partials; bit-identical to RunFleet(spec) with the same
-/// shard_size.  Throws std::runtime_error when the fleet cannot finish
-/// (respawn budget exhausted with shards uncovered) and
+/// shard_size.  A dead or killed worker is replaced while fewer than
+/// 2 * workers spawns have ended without an accepted frame, so a fleet
+/// that makes progress always finishes and total spawns stay within
+/// workers + shards + 2 * workers.  Throws std::runtime_error when that
+/// budget is spent with no live worker and shards uncovered, and
 /// std::invalid_argument on a bad configuration.
 FleetSummary RunFleetCoordinated(const ScenarioSpec& spec,
                                  const FleetCoordOptions& options,

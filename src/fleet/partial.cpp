@@ -52,8 +52,9 @@ FleetPartial FleetPartial::Parse(const std::string& text) {
   serdes::ExpectToken(is, "sim_seconds");
   partial.sim_seconds = serdes::ReadDouble(is);
   serdes::ExpectToken(is, "shards");
+  // No reserve() from the wire counts below: a lying count must end in a
+  // missing token, not in an allocation sized by the lie.
   const std::uint64_t shard_count = serdes::ReadU64(is);
-  partial.shards.reserve(shard_count);
   std::size_t last_shard = 0;
   for (std::uint64_t s = 0; s < shard_count; ++s) {
     serdes::ExpectToken(is, "shard");
@@ -64,7 +65,6 @@ FleetPartial FleetPartial::Parse(const std::string& text) {
     last_shard = shard.shard;
     serdes::ExpectToken(is, "cells");
     const std::uint64_t cell_count = serdes::ReadU64(is);
-    shard.cells.reserve(cell_count);
     for (std::uint64_t c = 0; c < cell_count; ++c) {
       serdes::ExpectToken(is, "cell");
       const auto cell = static_cast<std::size_t>(serdes::ReadU64(is));

@@ -4,7 +4,9 @@
 // shep_fleet_worker binary — the acceptance pins: 2- and 4-worker
 // campaigns merge bit-identical to single-process RunFleet, and stay so
 // when workers are SIGKILLed, die mid-campaign, stream corrupt frames, or
-// hang while heartbeating (every fault path ends in reassignment).  The
+// hang while heartbeating, or die halfway through writing a frame (every
+// fault path ends in reassignment); frames far larger than one pipe read
+// are put back together intact.  The
 // lane-grouped dispatch is pinned by an exact ledger: the lanes workers
 // report synthesizing must equal what the coordinator's own dispatch log
 // says it handed out.
@@ -80,9 +82,31 @@ ScenarioSpec SingleGroupSpec() {
   return spec;
 }
 
-FleetSummary RunMonolithic(const ScenarioSpec& spec) {
+/// 2 sites x 4 predictors x 32 tiers = 256 one-node cells over few days.
+/// Every shard of kWideShardSize nodes covers 128 cells (about 620 bytes
+/// each), so its frame's FleetPartial text spans several 64 KiB pipe reads.
+ScenarioSpec WideSpec() {
+  ScenarioSpec spec = CoordSpec();
+  spec.name = "wide";
+  PredictorSpec ewma;
+  ewma.kind = PredictorKind::kEwma;
+  spec.predictors.push_back(ewma);
+  spec.storage_tiers_j.clear();
+  for (int tier = 1; tier <= 32; ++tier) {
+    spec.storage_tiers_j.push_back(500.0 * tier);
+  }
+  spec.nodes_per_cell = 1;
+  spec.days = 6;
+  spec.node.warmup_days = 3;
+  return spec;
+}
+
+constexpr std::size_t kWideShardSize = 128;
+
+FleetSummary RunMonolithic(const ScenarioSpec& spec,
+                           std::size_t shard_size = kShardSize) {
   FleetRunOptions options;
-  options.shard_size = kShardSize;
+  options.shard_size = shard_size;
   return RunFleet(spec, options);
 }
 
@@ -98,8 +122,6 @@ FleetCoordOptions BaseOptions() {
 #endif
   options.workers = 4;
   options.shard_size = kShardSize;
-  options.heartbeat_ms = 25;
-  options.liveness_timeout_ms = 5000;
   return options;
 }
 
@@ -186,7 +208,6 @@ TEST(FleetProtocol, JobRoundTripsAndFramesChecksum) {
   job.spec = EverythingSpec();
   job.shard_size = 5;
   job.threads = 2;
-  job.heartbeat_ms = 75;
   job.fingerprint = 0xDEADBEEFull;
   job.trace_dir = "/tmp/trace dir with spaces";
 
@@ -195,7 +216,6 @@ TEST(FleetProtocol, JobRoundTripsAndFramesChecksum) {
   EXPECT_EQ(parsed.spec.Describe(), job.spec.Describe());
   EXPECT_EQ(parsed.shard_size, 5u);
   EXPECT_EQ(parsed.threads, 2u);
-  EXPECT_EQ(parsed.heartbeat_ms, 75u);
   EXPECT_EQ(parsed.fingerprint, 0xDEADBEEFull);
   EXPECT_EQ(parsed.trace_dir, job.trace_dir);
 
@@ -204,11 +224,20 @@ TEST(FleetProtocol, JobRoundTripsAndFramesChecksum) {
   std::istringstream in2(EncodeFleetJob(job));
   EXPECT_TRUE(ParseFleetJob(in2).trace_dir.empty());
 
-  std::istringstream garbage("shep-fleet-job v2\n");
+  // v1 jobs carried a heartbeat-ms line; the retired token is refused.
+  std::istringstream garbage("shep-fleet-job v1\n");
   EXPECT_THROW(ParseFleetJob(garbage), std::invalid_argument);
   std::istringstream truncated(
       EncodeFleetJob(job).substr(0, 120));
   EXPECT_THROW(ParseFleetJob(truncated), std::invalid_argument);
+  // A spec byte count the input cannot back is malformed input, not an
+  // allocation of that many bytes.
+  std::string lying = EncodeFleetJob(job);
+  const std::size_t count_at = lying.find("spec ") + 5;
+  lying.replace(count_at, lying.find('\n', count_at) - count_at,
+                "99999999999999");
+  std::istringstream lying_in(lying);
+  EXPECT_THROW(ParseFleetJob(lying_in), std::invalid_argument);
 
   // Frame: header names the shard, the byte count, an FNV-1a 64 that
   // actually covers the payload, and the worker's lane syntheses.
@@ -386,6 +415,42 @@ TEST(RunFleetCoordinated, RejectsCorruptFramesAndReassigns) {
   }
 }
 
+TEST(RunFleetCoordinated, WorkerDyingMidFrameIsADeathNotACorruptFrame) {
+  SHEP_SKIP_WITHOUT_WORKER();
+  FleetCoordOptions options = BaseOptions();
+  // Every spawn writes the header and half the payload of its second
+  // frame, then exits: the coordinator sees end of file with half a frame
+  // buffered, which must read as a plain death.
+  options.worker_args = {"--truncate-frame", "2"};
+  FleetCoordStats stats;
+  const FleetSummary summary =
+      RunFleetCoordinated(CoordSpec(), options, &stats);
+  ExpectSummaryBitIdentical(summary, Monolithic());
+  EXPECT_GE(stats.workers_died, 1u);
+  EXPECT_EQ(stats.corrupt_frames, 0u);
+  EXPECT_GE(stats.shards_reassigned, 1u);
+}
+
+TEST(RunFleetCoordinated, ReassemblesFramesLargerThanOnePipeRead) {
+  SHEP_SKIP_WITHOUT_WORKER();
+  const ScenarioSpec spec = WideSpec();
+  const ShardPlan plan = BuildShardPlan(spec, kWideShardSize);
+  ASSERT_EQ(plan.shards.size(), 2u);
+  for (std::size_t shard = 0; shard < plan.shards.size(); ++shard) {
+    ASSERT_GT(RunFleetShards(plan, {shard}).Serialize().size(),
+              std::size_t{64} << 10)
+        << "shard " << shard << " no longer spans several pipe reads";
+  }
+  FleetCoordOptions options = BaseOptions();
+  options.workers = 2;
+  options.shard_size = kWideShardSize;
+  FleetCoordStats stats;
+  const FleetSummary summary = RunFleetCoordinated(spec, options, &stats);
+  ExpectSummaryBitIdentical(summary, RunMonolithic(spec, kWideShardSize));
+  EXPECT_EQ(stats.frames_accepted, plan.shards.size());
+  EXPECT_EQ(stats.corrupt_frames, 0u);
+}
+
 TEST(RunFleetCoordinated, KillsHeartbeatingStragglersOnShardDeadline) {
   SHEP_SKIP_WITHOUT_WORKER();
   FleetCoordOptions options = BaseOptions();
@@ -461,8 +526,9 @@ TEST(RunFleetCoordinated, RequeuedLaneGroupsMergeBitIdentically) {
   FleetCoordOptions options = BaseOptions();
   // Every spawn dies after 3 frames, leaving in-flight shards and an
   // undispatched rest that go back to the queue as one group.
+  // 48 shards at 3 frames per spawn need far more than 2 * workers
+  // respawns; every spawn makes progress, so the budget never runs out.
   options.worker_args = {"--die-after-frames", "3"};
-  options.max_respawns = 64;
   FleetCoordStats stats;
   const FleetSummary summary =
       RunFleetCoordinated(GroupedSpec(), options, &stats);
@@ -471,13 +537,13 @@ TEST(RunFleetCoordinated, RequeuedLaneGroupsMergeBitIdentically) {
   EXPECT_EQ(stats.frames_accepted, plan.shards.size());
   EXPECT_GE(stats.workers_died, 1u);
   EXPECT_GE(stats.shards_reassigned, 1u);
+  EXPECT_GT(stats.respawns, 2 * options.workers);
 }
 
 TEST(RunFleetCoordinated, ThrowsWhenEveryWorkerIsUnusable) {
   SHEP_SKIP_WITHOUT_WORKER();
   FleetCoordOptions options = BaseOptions();
   options.workers = 2;
-  options.max_respawns = 2;
   options.worker_args = {"--not-a-flag"};  // every spawn errors out at once.
   EXPECT_THROW(RunFleetCoordinated(CoordSpec(), options),
                std::runtime_error);

@@ -215,6 +215,18 @@ TEST(FleetPartial, ParseRejectsCorruptedAggregates) {
   serdes::WriteDouble(tiny, 5e-324);  // smallest positive denormal.
   std::istringstream tiny_in(tiny.str());
   EXPECT_EQ(serdes::ReadDouble(tiny_in), 5e-324);
+
+  // A partial's shard and cell counts come off the wire: a count no input
+  // can back is a parse error, never an allocation sized by the lie.
+  const std::string head =
+      "shep-fleet-partial v3\nscenario s\nfingerprint 1\nnodes 0\n"
+      "synth_seconds 0x0p+0\nsim_seconds 0x0p+0\n";
+  EXPECT_EQ(FleetPartial::Parse(head + "shards 0\nend\n").shards.size(), 0u);
+  EXPECT_THROW(FleetPartial::Parse(head + "shards 99999999999999\nend\n"),
+               std::invalid_argument);
+  EXPECT_THROW(FleetPartial::Parse(
+                   head + "shards 1\nshard 0 cells 99999999999999\nend\n"),
+               std::invalid_argument);
 }
 
 // The acceptance criterion: >= 3 separate partial runs, serialized and

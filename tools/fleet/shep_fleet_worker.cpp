@@ -23,6 +23,9 @@
 //   --hang-after-frames N  after N frames, heartbeat forever but answer
 //                          nothing (the straggler the shard deadline
 //                          exists for).
+//   --truncate-frame N     Nth frame: write the header and half the
+//                          payload, then _Exit(9) (end of file mid-frame
+//                          is a death, not a corrupt frame).
 #include <unistd.h>
 
 #include <algorithm>
@@ -74,10 +77,10 @@ void WriteOut(std::string_view data) {
 /// hazard; the WriteOut lock is the one vetted exception, waived at its
 /// definition).
 // shep-lint: root(blocking-in-rt)
-void HeartbeatMain(const std::atomic<bool>& stop, std::uint32_t period_ms) {
+void HeartbeatMain(const std::atomic<bool>& stop) {
   while (!stop.load(std::memory_order_relaxed)) {
     WriteOut("hb\n");
-    std::this_thread::sleep_for(std::chrono::milliseconds(period_ms));
+    std::this_thread::sleep_for(shep::kFleetHeartbeatPeriod);
   }
 }
 
@@ -97,6 +100,7 @@ struct FaultFlags {
   std::size_t garble_frame = 0;       ///< 1-based frame index; 0 = never.
   std::size_t garble_header = 0;      ///< 1-based frame index; 0 = never.
   std::size_t hang_after_frames = 0;  ///< 0 = never.
+  std::size_t truncate_frame = 0;     ///< 1-based frame index; 0 = never.
 };
 
 FaultFlags ParseArgs(int argc, char** argv) {
@@ -124,6 +128,8 @@ FaultFlags ParseArgs(int argc, char** argv) {
       flags.garble_header = value();
     } else if (arg == "--hang-after-frames") {
       flags.hang_after_frames = value();
+    } else if (arg == "--truncate-frame") {
+      flags.truncate_frame = value();
     } else {
       Fail("unknown worker flag: " + std::string(arg));
     }
@@ -152,8 +158,7 @@ int main(int argc, char** argv) {
   // Heartbeat: the control plane.  One short line per period, forever —
   // cheap enough to never gate, and the coordinator times out on silence.
   std::atomic<bool> stop_heartbeat{false};
-  std::thread heartbeat(
-      [&] { HeartbeatMain(stop_heartbeat, job.heartbeat_ms); });
+  std::thread heartbeat([&] { HeartbeatMain(stop_heartbeat); });
 
   std::unique_ptr<shep::ThreadPool> pool;
   if (job.threads > 1) pool = std::make_unique<shep::ThreadPool>(job.threads);
@@ -225,6 +230,10 @@ int main(int argc, char** argv) {
       const std::size_t count_at = frame.find(' ', 6) + 1;
       frame.replace(count_at, frame.find(' ', count_at) - count_at,
                     "99999999999999");
+    }
+    if (flags.truncate_frame == frame_index) {
+      WriteOut(frame.substr(0, frame.find('\n') + 1 + payload.size() / 2));
+      std::_Exit(9);  // the coordinator sees end of file inside the frame.
     }
     WriteOut(frame);
     ++frames_written;
