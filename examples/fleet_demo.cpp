@@ -21,7 +21,6 @@
 
 #include "common/threadpool.hpp"
 #include "fleet/runner.hpp"
-#include "fleet/trace_cache.hpp"
 
 int main(int argc, char** argv) try {
   using namespace shep;
@@ -68,10 +67,8 @@ int main(int argc, char** argv) try {
   spec.initial_level_jitter = 0.25;  // nodes deployed at different charge.
 
   ThreadPool pool;
-  TraceCache cache;
   FleetRunOptions options;
   options.pool = &pool;
-  options.trace_cache = &cache;
   FleetRunStats info;
   const FleetSummary summary = RunFleet(spec, options, &info);
 
@@ -81,9 +78,7 @@ int main(int argc, char** argv) try {
             << info.unique_traces << " shards=" << info.shards
             << " threads=" << info.threads << '\n';
   std::cout << "phases: synth_s=" << info.synth_seconds << " sim_s="
-            << info.sim_seconds << " merge_s=" << info.merge_seconds
-            << "  trace_cache: hits=" << info.trace_cache_hits << " misses="
-            << info.trace_cache_misses << '\n';
+            << info.sim_seconds << " merge_s=" << info.merge_seconds << '\n';
   std::cout << "telemetry: events=" << info.trace_events << " dropped="
             << info.trace_dropped << " slot_records="
             << info.trace_slot_records << " day_records="

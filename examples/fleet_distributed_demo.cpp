@@ -14,9 +14,6 @@
 // boundaries.  --chaos additionally SIGKILLs the first worker mid-campaign
 // to show the reassignment path recovering without changing a byte.
 //
-// A shared TraceCache stands in for a per-machine trace store: workers
-// whose shards read the same weather lanes synthesize each lane once.
-//
 // With a trace directory the run also streams node telemetry: one
 // selectively-persisted trace file per shard lands there, ready for
 // `shep_trace list|slots|days` — the pipeline the CI telemetry smoke step
@@ -47,7 +44,6 @@
 #include "fleet/partial.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/shard_plan.hpp"
-#include "fleet/trace_cache.hpp"
 #include "trace/sink.hpp"
 
 namespace {
@@ -200,10 +196,8 @@ int main(int argc, char** argv) try {
 
   // ---- Stage 2: N independent partial runs (round-robin assignment). -----
   ThreadPool pool;
-  TraceCache cache;
   FleetRunOptions options;
   options.pool = &pool;
-  options.trace_cache = &cache;
 
   // Optional telemetry: every worker's shards stream through one sink, so
   // the directory ends up with plan.shards.size() files that shep_trace
@@ -230,9 +224,7 @@ int main(int argc, char** argv) try {
     wire.push_back(partial.Serialize());
     std::cout << "worker " << w << ": " << info.shards << " shards, "
               << partial.nodes_simulated << " nodes, " << info.unique_traces
-              << " lanes (" << info.trace_cache_hits << " cache hits, "
-              << info.trace_cache_misses << " misses), "
-              << wire.back().size() << " bytes serialized\n";
+              << " lanes, " << wire.back().size() << " bytes serialized\n";
     if (sink) {
       std::cout << "  telemetry: " << info.trace_events << " events, "
                 << info.trace_dropped << " dropped, "
@@ -241,10 +233,6 @@ int main(int argc, char** argv) try {
                 << info.trace_shard_files << " files\n";
     }
   }
-  const TraceCache::Stats cache_stats = cache.stats();
-  std::cout << "trace cache: " << cache_stats.entries << " entries, "
-            << cache_stats.hits << " hits, " << cache_stats.misses
-            << " misses\n";
   if (sink) {
     const TraceSinkStats ts = sink->stats();
     std::cout << "trace sink: " << ts.shard_files << " files in "

@@ -58,8 +58,4 @@ std::string FormatPercent(double ratio, int digits) {
   return FormatFixed(ratio * 100.0, digits) + "%";
 }
 
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 }  // namespace shep

@@ -26,7 +26,4 @@ std::string FormatFixed(double value, int digits);
 /// Formats a ratio as a percentage string, e.g. 0.1580 -> "15.80%".
 std::string FormatPercent(double ratio, int digits = 2);
 
-/// True if `s` starts with `prefix`.
-bool StartsWith(std::string_view s, std::string_view prefix);
-
 }  // namespace shep

@@ -88,11 +88,6 @@ double Wcma::CurrentPhi() const {
   return state_.Phi(state_.recent().size(), weighting_);
 }
 
-double Wcma::CurrentMu(std::size_t slot) const {
-  SHEP_REQUIRE(state_.history().stored_days() > 0, "no history stored yet");
-  return state_.history().Mu(slot);
-}
-
 double Wcma::PredictNext() const {
   SHEP_REQUIRE(state_.history().has_sample(),
                "PredictNext before any Observe");

@@ -123,9 +123,6 @@ class Wcma final : public Predictor {
   /// exposed for tests and for the dynamic-parameter study.
   double CurrentPhi() const;
 
-  /// μ_D(j) currently stored for slot-of-day j (requires some history).
-  double CurrentMu(std::size_t slot) const;
-
  private:
   WcmaParams params_;
   WcmaWeighting weighting_;

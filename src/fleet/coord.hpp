@@ -11,7 +11,7 @@
 // checksummed per shard so completed shards survive a worker death.
 //
 // Dispatch is lane-grouped, because weather synthesis is about half of a
-// shard's cost and each worker caches the lanes it has synthesized.  A
+// shard's cost and each worker keeps the lanes it has synthesized.  A
 // lane group is the set of shards that read the same weather lanes
 // (BuildLaneGroups); groups queue in plan order of first appearance.  A
 // worker takes a whole group and runs it down one shard at a time, taking
@@ -95,8 +95,8 @@ std::uint64_t FleetFrameChecksum(std::string_view payload);
 /// One data-plane frame: "frame <shard> <bytes> <checksum> <lanes>\n" +
 /// payload + "end-frame\n".  The payload is the FleetPartial::Serialize()
 /// text of exactly that one shard (its phase seconds included); <lanes> is
-/// the worker's trace-cache misses for the run, which the payload does not
-/// carry.
+/// the lanes the worker synthesized for the run
+/// (FleetRunStats::lanes_synthesized), which the payload does not carry.
 std::string EncodeFleetFrame(std::size_t shard, const std::string& payload,
                              std::uint64_t lanes_synthesized);
 

@@ -1,7 +1,6 @@
 #include "fleet/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <numeric>
@@ -64,7 +63,17 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
                             const std::vector<std::size_t>& shard_subset,
                             const FleetRunOptions& options,
                             FleetRunStats* stats) {
+  PlanLanes lanes(plan.lanes.size());
+  return RunFleetShards(plan, shard_subset, lanes, options, stats);
+}
+
+FleetPartial RunFleetShards(const ShardPlan& plan,
+                            const std::vector<std::size_t>& shard_subset,
+                            PlanLanes& lanes, const FleetRunOptions& options,
+                            FleetRunStats* stats) {
   SHEP_REQUIRE(!shard_subset.empty(), "shard subset must not be empty");
+  SHEP_REQUIRE(lanes.size() == plan.lanes.size(),
+               "lane store must hold one entry per plan lane");
   std::vector<std::size_t> subset = shard_subset;
   std::sort(subset.begin(), subset.end());
   SHEP_REQUIRE(subset.back() < plan.shards.size(),
@@ -80,9 +89,10 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
   // Lanes are keyed (site, replica) — see ShardPlan::lanes — so all
   // predictor/storage cells of a site share traces (paired comparison) and
   // the synthesis cost is at most sites × replicas, not cells × replicas.
-  // A subset run only pays for the lanes its own nodes touch.
-  std::vector<std::shared_ptr<const SlotSeries>> series(plan.lanes.size());
-  std::vector<std::size_t> needed;
+  // A subset run only pays for the lanes its own nodes touch and `lanes`
+  // does not hold yet.
+  std::size_t lanes_read = 0;
+  std::vector<std::size_t> missing;
   {
     std::vector<bool> lane_needed(plan.lanes.size(), false);
     for (std::size_t shard : subset) {
@@ -92,46 +102,30 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
       }
     }
     for (std::size_t l = 0; l < lane_needed.size(); ++l) {
-      if (lane_needed[l]) needed.push_back(l);
+      if (!lane_needed[l]) continue;
+      ++lanes_read;
+      if (lanes[l] == nullptr) missing.push_back(l);
     }
   }
 
-  // Hit/miss tallies are counted per lookup, NOT diffed from the cache's
-  // global stats(): the cache is shared state, and concurrent runs would
-  // show up in each other's deltas.
-  std::atomic<std::uint64_t> cache_hits{0};
-  std::atomic<std::uint64_t> cache_misses{0};
-  // Evictions (and the clear-sky memo below) cannot be counted per lookup
-  // — they happen inside the caches — so those ARE stats() diffs, exact
-  // for the usual one-run-at-a-time process and documented approximate
-  // otherwise (runner.hpp).
-  const std::uint64_t cache_evictions_before =
-      options.trace_cache != nullptr ? options.trace_cache->stats().evictions
-                                     : 0;
+  // The clear-sky memo is process-wide, so its counters are stats() diffs:
+  // exact for the usual one-run-at-a-time process and documented
+  // approximate otherwise (runner.hpp).
   const ClearSkyMemoStats clearsky_before = GetClearSkyMemoStats();
   // One synthesis scratch per batch worker: lanes sharing a worker id run
   // serialized, so each slot's buffers are reused race-free across every
   // lane (and day) that worker synthesizes.  Scratch placement never
   // affects values, only allocation traffic.
   std::vector<SynthScratch> scratch(
-      ParallelWorkerCount(options.pool, needed.size()));
+      ParallelWorkerCount(options.pool, missing.size()));
   auto t0 = std::chrono::steady_clock::now();
-  ParallelForWorker(options.pool, needed.size(),
+  ParallelForWorker(options.pool, missing.size(),
                     [&](std::size_t worker, std::size_t n) {
-    const TraceLanePlan& lane = plan.lanes[needed[n]];
-    if (options.trace_cache != nullptr) {
-      bool hit = false;
-      series[lane.lane] = options.trace_cache->Get(
-          lane.site_code, lane.trace_seed, s.days, s.slots_per_day, &hit,
-          &scratch[worker]);
-      (hit ? cache_hits : cache_misses).fetch_add(1,
-                                                  std::memory_order_relaxed);
-      return;
-    }
+    const TraceLanePlan& lane = plan.lanes[missing[n]];
     SynthOptions synth;
     synth.days = s.days;
     synth.seed_offset = lane.trace_seed;
-    series[lane.lane] = std::make_shared<const SlotSeries>(
+    lanes[lane.lane] = std::make_unique<const SlotSeries>(
         SynthesizeTrace(SiteByCode(lane.site_code), synth, scratch[worker]),
         s.slots_per_day);
   });
@@ -208,7 +202,7 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
       }
       auto simulate = [&](const auto& probe, auto fault_model) {
         return SimulateSpecNodeImpl(s.predictors[cell.predictor_index],
-                                    s.slots_per_day, *series[lane], config,
+                                    s.slots_per_day, *lanes[lane], config,
                                     probe, fault_model);
       };
       NodeSimResult result;
@@ -254,15 +248,10 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
     stats->threads =
         options.pool != nullptr ? options.pool->thread_count() : 1;
     stats->shards = subset.size();
-    stats->unique_traces = needed.size();
+    stats->unique_traces = lanes_read;
+    stats->lanes_synthesized = missing.size();
     stats->synth_seconds = synth_seconds;
     stats->sim_seconds = sim_seconds;
-    stats->trace_cache_hits = cache_hits.load();
-    stats->trace_cache_misses = cache_misses.load();
-    stats->trace_cache_evictions =
-        options.trace_cache != nullptr
-            ? options.trace_cache->stats().evictions - cache_evictions_before
-            : 0;
     const ClearSkyMemoStats clearsky_after = GetClearSkyMemoStats();
     stats->clearsky_hits = clearsky_after.hits - clearsky_before.hits;
     stats->clearsky_misses = clearsky_after.misses - clearsky_before.misses;

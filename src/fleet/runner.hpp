@@ -7,11 +7,11 @@
 //     expanded scenario into fixed-size node shards and weather-trace
 //     lanes;
 //  2. RunFleetShards — executes ANY subset of the plan's shards: the
-//     subset's lanes are synthesized (or fetched from an optional
-//     TraceCache) and each shard reduces its nodes into private per-cell
-//     accumulators with no locking or sharing on the hot path.  The result
-//     is a FleetPartial whose text serialization can cross a process
-//     boundary exactly;
+//     subset's lanes are synthesized (a process that runs many subsets of
+//     one plan can keep them in a PlanLanes and pass it back in) and each
+//     shard reduces its nodes into private per-cell accumulators with no
+//     locking or sharing on the hot path.  The result is a FleetPartial
+//     whose text serialization can cross a process boundary exactly;
 //  3. MergeFleetPartials — folds partials covering the whole plan back
 //     into a FleetSummary, always in plan (shard-index) order.
 //
@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/threadpool.hpp"
@@ -34,7 +35,7 @@
 #include "fleet/partial.hpp"
 #include "fleet/scenario.hpp"
 #include "fleet/shard_plan.hpp"
-#include "fleet/trace_cache.hpp"
+#include "timeseries/slotting.hpp"
 #include "trace/sink.hpp"
 
 namespace shep {
@@ -48,10 +49,6 @@ struct FleetRunOptions {
   /// value itself is held fixed.  (Read by RunFleet when it builds the
   /// plan; RunFleetShards takes the plan's value.)
   std::size_t shard_size = 8;
-  /// Optional shared weather-lane memo: campaigns that re-run overlapping
-  /// scenarios synthesize each lane once.  Results are bit-identical with
-  /// and without it; only phase-1 wall time changes.
-  TraceCache* trace_cache = nullptr;
   /// Opt-in streaming telemetry: when set, every simulated slot is offered
   /// to the sink's per-worker rings and each shard produces one trace file
   /// (trace/sink.hpp).  Strictly observational — the summary is
@@ -66,16 +63,14 @@ struct FleetRunStats {
   std::size_t threads = 1;
   std::size_t shards = 0;         ///< shards executed by this run.
   std::size_t unique_traces = 0;  ///< lanes this run's shards read.
+  /// Of those, the lanes this run synthesized; the rest were already in
+  /// the caller's PlanLanes.
+  std::size_t lanes_synthesized = 0;
   double synth_seconds = 0.0;     ///< phase 1 wall time.
   double sim_seconds = 0.0;       ///< phase 2 wall time (merge excluded —
                                   ///< stage 3 may run in another process).
   double merge_seconds = 0.0;     ///< stage 3 wall time (RunFleet only;
                                   ///< stays 0 for bare RunFleetShards).
-  /// TraceCache counter deltas of this run (0 when no cache was given).
-  /// Evictions only occur on capacity-capped caches (see TraceCache ctor).
-  std::uint64_t trace_cache_hits = 0;
-  std::uint64_t trace_cache_misses = 0;
-  std::uint64_t trace_cache_evictions = 0;
   /// Process-wide clear-sky memo deltas over this run (solar/clearsky.hpp).
   /// Approximate under concurrent runs in one process — the memo is shared
   /// — but exact for the common one-run-at-a-time case.
@@ -91,12 +86,27 @@ struct FleetRunStats {
   std::uint64_t trace_shard_files = 0;   ///< trace files finalized.
 };
 
+/// The weather lanes of one plan, indexed by TraceLanePlan::lane; a null
+/// entry is a lane not synthesized yet.
+using PlanLanes = std::vector<std::unique_ptr<const SlotSeries>>;
+
 /// Stage 2: executes the plan's shards listed in `shard_subset` (any
 /// order; duplicates rejected) and returns their reductions.  The partial
-/// is deterministic in (plan, shard_subset) — pool and cache only change
-/// wall time.
+/// is deterministic in (plan, shard_subset) — the pool only changes wall
+/// time.
 FleetPartial RunFleetShards(const ShardPlan& plan,
                             const std::vector<std::size_t>& shard_subset,
+                            const FleetRunOptions& options = {},
+                            FleetRunStats* stats = nullptr);
+
+/// Stage 2 for a process that runs many subsets of one plan (the fleet
+/// worker): the subset's lanes already held in `lanes` (sized to
+/// plan.lanes) are read, and the missing ones are synthesized into it.
+/// The partial is bit-identical to RunFleetShards' — a lane is a pure
+/// function of its TraceLanePlan.
+FleetPartial RunFleetShards(const ShardPlan& plan,
+                            const std::vector<std::size_t>& shard_subset,
+                            PlanLanes& lanes,
                             const FleetRunOptions& options = {},
                             FleetRunStats* stats = nullptr);
 

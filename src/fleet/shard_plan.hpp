@@ -35,8 +35,7 @@ struct ShardRange {
 
 /// One weather-trace lane: lanes are keyed (site, replica) — all
 /// predictor/storage cells of a site share them (paired design) — and this
-/// record is everything a worker (or the TraceCache) needs to synthesize
-/// the lane's SlotSeries.
+/// record is everything a worker needs to synthesize the lane's SlotSeries.
 struct TraceLanePlan {
   std::size_t lane = 0;       ///< position in ShardPlan::lanes.
   std::string site_code;      ///< solar/sites code.

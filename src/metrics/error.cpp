@@ -18,54 +18,6 @@ double AbsolutePercentageError(const PredictionPoint& point,
   return std::fabs(ref - point.predicted) / ref;
 }
 
-ExtendedStats EvaluateExtended(std::span<const PredictionPoint> points,
-                               ErrorTarget target, double peak,
-                               const RoiFilter& filter) {
-  SHEP_REQUIRE(filter.threshold_fraction >= 0.0 &&
-                   filter.threshold_fraction <= 1.0,
-               "ROI threshold must be a fraction in [0,1]");
-  ExtendedStats stats;
-  double sum_smape = 0.0;
-  double sum_abs = 0.0;
-  double sum_sq = 0.0;
-  double naive_abs = 0.0;
-  double naive_sq = 0.0;
-  bool have_prev = false;
-  double prev_ref = 0.0;
-  std::size_t naive_count = 0;
-  for (const auto& p : points) {
-    const double ref = Reference(p, target);
-    if (!filter.Includes(p.day, ref, peak) || ref <= 0.0) continue;
-    const double err = ref - p.predicted;
-    const double denom = ref + std::fabs(p.predicted);
-    sum_smape += denom > 0.0 ? 2.0 * std::fabs(err) / denom : 0.0;
-    sum_abs += std::fabs(err);
-    sum_sq += err * err;
-    if (have_prev) {
-      const double naive_err = ref - prev_ref;
-      naive_abs += std::fabs(naive_err);
-      naive_sq += naive_err * naive_err;
-      ++naive_count;
-    }
-    prev_ref = ref;
-    have_prev = true;
-    ++stats.count;
-  }
-  if (stats.count == 0) return stats;
-  const double n = static_cast<double>(stats.count);
-  stats.smape = sum_smape / n;
-  if (naive_count > 0 && naive_abs > 0.0) {
-    stats.mase = (sum_abs / n) /
-                 (naive_abs / static_cast<double>(naive_count));
-  }
-  if (naive_count > 0 && naive_sq > 0.0) {
-    stats.theils_u =
-        std::sqrt((sum_sq / n) /
-                  (naive_sq / static_cast<double>(naive_count)));
-  }
-  return stats;
-}
-
 ErrorStats EvaluateErrors(std::span<const PredictionPoint> points,
                           ErrorTarget target, double peak,
                           const RoiFilter& filter) {

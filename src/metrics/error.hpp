@@ -82,26 +82,4 @@ double AbsolutePercentageError(const PredictionPoint& point,
 /// Reference value of a point for the chosen target.
 double Reference(const PredictionPoint& point, ErrorTarget target);
 
-/// Additional accuracy measures from Hyndman & Koehler, "Another look at
-/// measures of forecast accuracy" (the paper's ref. [8], which motivates
-/// its MAPE-vs-RMSE discussion).  All operate on the same in-ROI point set
-/// as EvaluateErrors.
-struct ExtendedStats {
-  double smape = 0.0;    ///< symmetric MAPE: mean(2|err| / (ref + pred)).
-  double mase = 0.0;     ///< MAE scaled by the persistence MAE (in-sample
-                         ///< naive benchmark); < 1 beats persistence.
-  double theils_u = 0.0; ///< sqrt(Σerr² / Σ naive-err²); < 1 beats naive.
-  std::size_t count = 0;
-
-  bool valid() const { return count > 0; }
-};
-
-/// Computes the scaled measures.  The naive benchmark for both MASE and
-/// Theil's U is persistence over the SAME point sequence (previous in-ROI
-/// reference predicts the next), matching Hyndman & Koehler's in-sample
-/// scaling.  Needs at least two in-ROI points.
-ExtendedStats EvaluateExtended(std::span<const PredictionPoint> points,
-                               ErrorTarget target, double peak,
-                               const RoiFilter& filter = {});
-
 }  // namespace shep

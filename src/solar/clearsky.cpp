@@ -63,7 +63,6 @@ struct ClearSkyMemo {
 
   std::mutex mutex;
   std::map<Key, std::shared_ptr<const std::vector<double>>> entries;
-  std::size_t capacity = kClearSkyMemoDefaultCapacity;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
@@ -100,7 +99,7 @@ std::shared_ptr<const std::vector<double>> ClearSkyDayGhiCached(
   ++memo.misses;
   const auto [it, inserted] = memo.entries.emplace(key, std::move(profile));
   auto result = it->second;
-  if (inserted && memo.entries.size() > memo.capacity) {
+  if (inserted && memo.entries.size() > kClearSkyMemoDefaultCapacity) {
     // Evict the lowest key rather than the newest: a campaign sweeps keys
     // in order, so dropping the just-inserted entry would thrash.  The
     // choice is deterministic (ordered map) and callers keep their refs.
@@ -117,17 +116,6 @@ ClearSkyMemoStats GetClearSkyMemoStats() {
   std::lock_guard<std::mutex> lock(memo.mutex);
   return ClearSkyMemoStats{memo.hits, memo.misses, memo.evictions,
                            memo.entries.size()};
-}
-
-void SetClearSkyMemoCapacity(std::size_t max_entries) {
-  ClearSkyMemo& memo = TheClearSkyMemo();
-  std::lock_guard<std::mutex> lock(memo.mutex);
-  memo.capacity =
-      max_entries == 0 ? kClearSkyMemoDefaultCapacity : max_entries;
-  while (memo.entries.size() > memo.capacity) {
-    memo.entries.erase(memo.entries.begin());
-    ++memo.evictions;
-  }
 }
 
 void ClearClearSkyMemo() {

@@ -51,9 +51,9 @@ std::vector<double> ClearSkyDayGhi(double latitude_deg, int day_of_year,
 /// 86400/resolution_s sin/cos/exp samples per day.  Repeated calls with one
 /// key return the same immutable shared instance.
 ///
-/// Thread-safe; like fleet's TraceCache the profile is computed OUTSIDE the
-/// lock, so concurrent first calls on one key may both compute it and the
-/// first insertion wins — the loser's bit-identical copy is dropped.
+/// Thread-safe; the profile is computed OUTSIDE the lock, so concurrent
+/// first calls on one key may both compute it and the first insertion
+/// wins — the loser's bit-identical copy is dropped.
 std::shared_ptr<const std::vector<double>> ClearSkyDayGhiCached(
     double latitude_deg, int day_of_year, int resolution_s);
 
@@ -67,16 +67,13 @@ struct ClearSkyMemoStats {
 };
 ClearSkyMemoStats GetClearSkyMemoStats();
 
-/// Default entry cap of the process-wide memo: generous for any single
-/// campaign (sites x days distinct keys) yet bounds a coordinator that
-/// lives through thousands of campaigns with shifting latitudes.
-inline constexpr std::size_t kClearSkyMemoDefaultCapacity = 4096;
-
-/// Caps the memo at `max_entries` profiles (0 restores the default).  When
-/// an insert would exceed the cap the lowest key is evicted — deterministic
-/// because the memo is an ordered map — and counted in stats.evictions.
+/// Entry cap of the process-wide memo: generous for any single campaign
+/// (sites x days distinct keys) yet bounds a coordinator that lives
+/// through thousands of campaigns with shifting latitudes.  When an insert
+/// would exceed the cap the lowest key is evicted — deterministic because
+/// the memo is an ordered map — and counted in stats.evictions.
 /// Shared_ptrs already handed out stay alive; only the memo forgets.
-void SetClearSkyMemoCapacity(std::size_t max_entries);
+inline constexpr std::size_t kClearSkyMemoDefaultCapacity = 4096;
 
 /// Drops every memoized profile (shared_ptrs held by callers stay alive)
 /// and resets the counters; used by tests to start from a cold memo.

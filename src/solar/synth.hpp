@@ -49,8 +49,8 @@ PowerTrace SynthesizeTrace(const SiteProfile& site,
 
 /// Scratch-threaded form: bit-identical to the two-argument overload, but
 /// all intermediate buffers come from `scratch`, so a caller looping over
-/// traces (the fleet runner's phase 1, the trace cache) performs one
-/// allocation per trace instead of several per day.
+/// traces (the fleet runner's phase 1) performs one allocation per trace
+/// instead of several per day.
 PowerTrace SynthesizeTrace(const SiteProfile& site, const SynthOptions& options,
                            SynthScratch& scratch);
 

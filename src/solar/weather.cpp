@@ -88,16 +88,6 @@ std::array<double, 3> WeatherModel::StationaryDistribution() const {
   return pi;
 }
 
-std::vector<double> WeatherModel::DayTransmittance(WeatherState state,
-                                                   int resolution_s,
-                                                   double& drift,
-                                                   Rng& rng) const {
-  std::vector<double> tau;
-  DayScratch scratch;
-  DayTransmittanceInto(state, resolution_s, drift, rng, tau, scratch);
-  return tau;
-}
-
 // shep-lint: root(hot-path-alloc)
 void WeatherModel::DayTransmittanceInto(WeatherState state, int resolution_s,
                                         double& drift, Rng& rng,

@@ -113,16 +113,11 @@ class WeatherModel {
   /// reports/tests to characterise a site's climate.
   std::array<double, 3> StationaryDistribution() const;
 
-  /// Generates one day of transmittance values, one per `resolution_s`
-  /// seconds.  The AR(1) drift state is carried in/out through `drift` so
-  /// consecutive days join smoothly.
-  std::vector<double> DayTransmittance(WeatherState state, int resolution_s,
-                                       double& drift, Rng& rng) const;
-
-  /// Allocation-free form: writes the day into `tau` (resized to one
-  /// sample per resolution_s) reusing `scratch`'s buffers.  Bit-identical
-  /// to DayTransmittance for the same RNG stream — only where the values
-  /// land changes.
+  /// Generates one day of transmittance values into `tau` (resized to one
+  /// sample per `resolution_s` seconds).  The AR(1) drift state is carried
+  /// in/out through `drift` so consecutive days join smoothly.  Reusing
+  /// `scratch` (and `tau`) across days makes it allocation-free; the values
+  /// depend only on the RNG stream, never on the buffers.
   void DayTransmittanceInto(WeatherState state, int resolution_s,
                             double& drift, Rng& rng, std::vector<double>& tau,
                             DayScratch& scratch) const;

@@ -1,7 +1,9 @@
 #include "timeseries/csv.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/strings.hpp"
 
@@ -21,6 +23,10 @@ CsvLoadResult ParseCsv(const std::string& text, const std::string& name,
                        int resolution_s, const CsvOptions& options) {
   if (resolution_s <= 0 || kSecondsPerDay % resolution_s != 0) {
     return Fail("resolution must be positive and divide one day");
+  }
+  if (options.value_column < 0) {
+    return Fail("value column must be non-negative, got " +
+                std::to_string(options.value_column));
   }
   std::vector<double> samples;
   std::istringstream in(text);
@@ -51,6 +57,11 @@ CsvLoadResult ParseCsv(const std::string& text, const std::string& name,
       return Fail(os.str());
     }
     double v = *value;
+    if (!std::isfinite(v)) {
+      std::ostringstream os;
+      os << "line " << line_no << ": non-finite power sample";
+      return Fail(os.str());
+    }
     if (v < 0.0) {
       if (!options.clamp_negative) {
         std::ostringstream os;
@@ -81,23 +92,6 @@ CsvLoadResult LoadCsv(const std::string& path, const std::string& name,
   std::ostringstream buf;
   buf << f.rdbuf();
   return ParseCsv(buf.str(), name, resolution_s, options);
-}
-
-bool SaveCsv(const PowerTrace& trace, const std::string& path,
-             std::string* error) {
-  std::ofstream f(path);
-  if (!f) {
-    if (error) *error = "cannot open file for writing: " + path;
-    return false;
-  }
-  f << "power_w\n";
-  for (double s : trace.samples()) f << s << "\n";
-  f.flush();
-  if (!f) {
-    if (error) *error = "write failed: " + path;
-    return false;
-  }
-  return true;
 }
 
 }  // namespace shep

@@ -1,10 +1,10 @@
-// csv.hpp — CSV import/export for power traces.
+// csv.hpp — CSV import for power traces.
 //
 // The paper uses NREL MIDC exports.  This loader accepts the common MIDC
 // shape — optional header line(s), one sample per row, with the power value
-// in a chosen column — as well as the single-column format written by
-// SaveCsv, so real measurement data can replace the synthetic substitute
-// without code changes.
+// in a chosen column — as well as a plain single-column file, so real
+// measurement data can replace the synthetic substitute without code
+// changes.
 #pragma once
 
 #include <optional>
@@ -34,7 +34,8 @@ struct CsvLoadResult {
 
 /// Parses CSV text into a trace.  The sample count must form whole days at
 /// `resolution_s`; otherwise an error naming the offending count is
-/// returned.
+/// returned.  A negative `value_column` is an error, and so is a NaN or
+/// infinite sample (reported with its line, never clamped).
 [[nodiscard]] CsvLoadResult ParseCsv(const std::string& text,
                                      const std::string& name,
                                      int resolution_s,
@@ -43,10 +44,5 @@ struct CsvLoadResult {
 /// Loads a trace from a CSV file on disk.
 CsvLoadResult LoadCsv(const std::string& path, const std::string& name,
                       int resolution_s, const CsvOptions& options = {});
-
-/// Writes a trace as single-column CSV with a `power_w` header.
-/// Returns false (and sets `error`) on I/O failure.
-bool SaveCsv(const PowerTrace& trace, const std::string& path,
-             std::string* error = nullptr);
 
 }  // namespace shep

@@ -70,11 +70,6 @@ class HistoryMatrix {
   /// μ over the full capacity window (the common case in the predictor).
   double Mu(std::size_t slot) const { return Mu(slot, capacity_); }
 
-  /// Memory footprint of the sample storage in 16-bit words — the quantity
-  /// the paper's parameter guideline targets ("conserving samples storage
-  /// memory requirement").
-  std::size_t FootprintWords() const { return capacity_ * slots_; }
-
  private:
   /// Copies the completed current day into the ring; rewinds the cursor.
   void PushCurrentDay();

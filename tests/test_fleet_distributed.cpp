@@ -1,9 +1,9 @@
 // Tests for the distributed fleet pipeline: shard plans, serialized
-// partials, the plan-order merge, and the trace cache.  The acceptance
-// pin lives here — a scenario executed as several separate RunFleetShards
-// partial runs, each serialized to text and parsed back, must merge into
-// a FleetSummary bit-identical (table + CSV + integer totals) to the
-// single-process RunFleet at any thread count.
+// partials, the plan-order merge, and the reusable lane store.  The
+// acceptance pin lives here — a scenario executed as several separate
+// RunFleetShards partial runs, each serialized to text and parsed back,
+// must merge into a FleetSummary bit-identical (table + CSV + integer
+// totals) to the single-process RunFleet at any thread count.
 #include "fleet/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "common/threadpool.hpp"
 #include "fleet/partial.hpp"
 #include "fleet/shard_plan.hpp"
-#include "fleet/trace_cache.hpp"
 #include "fleet_summary_expect.hpp"
 #include "solar/clearsky.hpp"
 
@@ -311,87 +310,13 @@ TEST(MergeFleetPartials, RejectsForeignMissingAndDuplicateCoverage) {
                std::invalid_argument);
 }
 
-TEST(TraceCache, HitReturnsTheIdenticalSeries) {
-  TraceCache cache;
-  const auto a = cache.Get("HSU", 42, 30, 48);
-  const auto b = cache.Get("HSU", 42, 30, 48);
-  EXPECT_EQ(a.get(), b.get());  // literally the same object.
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().entries, 1u);
-
-  // Any differing key component is a distinct entry.
-  EXPECT_NE(cache.Get("PFCI", 42, 30, 48).get(), a.get());
-  EXPECT_NE(cache.Get("HSU", 43, 30, 48).get(), a.get());
-  EXPECT_NE(cache.Get("HSU", 42, 31, 48).get(), a.get());
-  EXPECT_NE(cache.Get("HSU", 42, 30, 24).get(), a.get());
-  EXPECT_EQ(cache.stats().entries, 5u);
-
-  // The cached series is the same synthesis a direct run performs.
-  TraceCache fresh;
-  const auto c = fresh.Get("HSU", 42, 30, 48);
-  ASSERT_EQ(c->size(), a->size());
-  for (std::size_t g = 0; g < a->size(); ++g) {
-    EXPECT_EQ(c->boundary(g), a->boundary(g));
-    EXPECT_EQ(c->mean(g), a->mean(g));
-  }
-
-  cache.Clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-}
-
-TEST(TraceCache, CapBoundsEntriesAndKeepsHandedOutSeriesAlive) {
-  TraceCache cache(3);
-  const auto first = cache.Get("HSU", 1, 3, 24);
-  for (std::uint64_t seed = 2; seed <= 5; ++seed) {
-    cache.Get("HSU", seed, 3, 24);
-  }
-
-  TraceCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 3u);
-  EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_EQ(stats.misses, 5u);
-
-  // The just-inserted key is never the victim, so a run sweeping seeds in
-  // order still hits its newest entry.
-  bool hit = false;
-  cache.Get("HSU", 5, 3, 24, &hit);
-  EXPECT_TRUE(hit);
-
-  // An evicted key re-synthesizes a NEW instance with identical data,
-  // while series already handed out stay alive through their shared_ptrs.
-  const auto again = cache.Get("HSU", 1, 3, 24, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_NE(again.get(), first.get());
-  ASSERT_EQ(again->size(), first->size());
-  for (std::size_t g = 0; g < first->size(); ++g) {
-    EXPECT_EQ(again->boundary(g), first->boundary(g));
-    EXPECT_EQ(again->mean(g), first->mean(g));
-  }
-  stats = cache.stats();
-  EXPECT_EQ(stats.evictions, 3u);
-  EXPECT_EQ(stats.entries, 3u);
-}
-
-TEST(TraceCache, RunStatsReportCacheAndClearSkyDeltas) {
+TEST(RunFleet, RunStatsReportClearSkyDeltas) {
   const ScenarioSpec spec = DistributedSpec();
-  const FleetSummary reference = RunFleet(spec);
   ClearClearSkyMemo();
 
-  // A one-entry cache forces an eviction per lane after the first; the
-  // summary must not notice (caps change wall time and memory, nothing
-  // else), and the run stats must report the churn.
-  TraceCache tiny(1);
-  FleetRunOptions options;
-  options.trace_cache = &tiny;
   FleetRunStats info;
-  const FleetSummary capped = RunFleet(spec, options, &info);
-  ExpectSummaryBitIdentical(capped, reference);
-
-  EXPECT_EQ(info.trace_cache_misses, info.unique_traces);
-  EXPECT_EQ(info.trace_cache_evictions, info.unique_traces - 1);
-  EXPECT_EQ(tiny.stats().entries, 1u);
+  RunFleet(spec, {}, &info);
+  EXPECT_EQ(info.lanes_synthesized, info.unique_traces);
 
   // Phase 1's synthesis goes through the process-wide clear-sky memo:
   // every (site, day-of-year) profile misses once, and the other lanes of
@@ -402,35 +327,42 @@ TEST(TraceCache, RunStatsReportCacheAndClearSkyDeltas) {
   EXPECT_EQ(info.clearsky_evictions, 0u);
 }
 
-TEST(TraceCache, CachedRunsAreBitIdenticalAndWarmRunsHit) {
+TEST(RunFleetShards, LaneStoreSynthesizesEachLaneOnceAndChangesNoBits) {
   const ScenarioSpec spec = DistributedSpec();
-  const FleetSummary uncached = RunFleet(spec);
+  const FleetSummary reference = RunFleet(spec);
 
-  TraceCache cache;
+  // One shard at a time, the way a fleet worker runs them, all sharing
+  // one lane store: each lane is built by the first shard that reads it.
   ThreadPool pool(4);
   FleetRunOptions options;
   options.pool = &pool;
-  options.trace_cache = &cache;
-
-  FleetRunStats cold_info;
-  const FleetSummary cold = RunFleet(spec, options, &cold_info);
-  ExpectSummaryBitIdentical(cold, uncached);
-  EXPECT_EQ(cold_info.trace_cache_hits, 0u);
-  EXPECT_EQ(cold_info.trace_cache_misses, cold_info.unique_traces);
-
-  // A warm re-run synthesizes nothing and still matches bit for bit.
-  FleetRunStats warm_info;
-  const FleetSummary warm = RunFleet(spec, options, &warm_info);
-  ExpectSummaryBitIdentical(warm, uncached);
-  EXPECT_EQ(warm_info.trace_cache_hits, warm_info.unique_traces);
-  EXPECT_EQ(warm_info.trace_cache_misses, 0u);
-
-  // Partial runs share the same cache: a subset run on warm lanes hits.
   const ShardPlan plan = BuildShardPlan(spec, options.shard_size);
-  FleetRunStats subset_info;
-  RunFleetShards(plan, {0}, options, &subset_info);
-  EXPECT_GT(subset_info.trace_cache_hits, 0u);
-  EXPECT_EQ(subset_info.trace_cache_misses, 0u);
+  PlanLanes lanes(plan.lanes.size());
+  std::vector<FleetPartial> partials;
+  std::size_t synthesized = 0;
+  for (std::size_t shard = 0; shard < plan.shards.size(); ++shard) {
+    FleetRunStats info;
+    partials.push_back(RunFleetShards(plan, {shard}, lanes, options, &info));
+    EXPECT_LE(info.lanes_synthesized, info.unique_traces);
+    synthesized += info.lanes_synthesized;
+  }
+  EXPECT_EQ(synthesized, plan.lanes.size());
+  for (const auto& lane : lanes) EXPECT_NE(lane, nullptr);
+  ExpectSummaryBitIdentical(MergeFleetPartials(plan, partials), reference);
+
+  // A warm store synthesizes nothing and still matches bit for bit.
+  std::vector<std::size_t> all(plan.shards.size());
+  std::iota(all.begin(), all.end(), 0);
+  FleetRunStats warm_info;
+  std::vector<FleetPartial> warm;
+  warm.push_back(RunFleetShards(plan, all, lanes, options, &warm_info));
+  EXPECT_EQ(warm_info.lanes_synthesized, 0u);
+  EXPECT_EQ(warm_info.unique_traces, plan.lanes.size());
+  ExpectSummaryBitIdentical(MergeFleetPartials(plan, warm), reference);
+
+  // A store sized for another plan is refused.
+  PlanLanes wrong(plan.lanes.size() + 1);
+  EXPECT_THROW(RunFleetShards(plan, {0}, wrong), std::invalid_argument);
 }
 
 }  // namespace

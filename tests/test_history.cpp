@@ -129,12 +129,6 @@ TEST(HistoryMatrix, ClearRestoresTheConstructedState) {
   EXPECT_DOUBLE_EQ(h.Mu(1), 8.0);
 }
 
-TEST(HistoryMatrix, FootprintWordsIsDtimesN) {
-  // The paper's memory guideline: the matrix costs D*N words.
-  HistoryMatrix h(20, 48);
-  EXPECT_EQ(h.FootprintWords(), 960u);
-}
-
 TEST(HistoryMatrix, RejectsZeroDimensions) {
   EXPECT_THROW(HistoryMatrix(0, 4), std::invalid_argument);
   EXPECT_THROW(HistoryMatrix(4, 0), std::invalid_argument);

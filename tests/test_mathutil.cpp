@@ -28,50 +28,16 @@ TEST(Variance, KnownValue) {
   EXPECT_DOUBLE_EQ(Variance(xs), 1.0);  // mean 2, deviations ±1
 }
 
-TEST(MinMax, Work) {
+TEST(MaxValue, LargestOrZeroWhenEmpty) {
   const std::vector<double> xs{3.0, -1.0, 7.0, 2.0};
   EXPECT_DOUBLE_EQ(MaxValue(xs), 7.0);
-  EXPECT_DOUBLE_EQ(MinValue(xs), -1.0);
   EXPECT_DOUBLE_EQ(MaxValue({}), 0.0);
-  EXPECT_DOUBLE_EQ(MinValue({}), 0.0);
-}
-
-TEST(PrefixSums, InclusiveSums) {
-  const std::vector<double> xs{1.0, 2.0, 3.0};
-  const auto ps = PrefixSums(xs);
-  ASSERT_EQ(ps.size(), 3u);
-  EXPECT_DOUBLE_EQ(ps[0], 1.0);
-  EXPECT_DOUBLE_EQ(ps[1], 3.0);
-  EXPECT_DOUBLE_EQ(ps[2], 6.0);
-}
-
-TEST(PrefixSums, EmptyInEmptyOut) {
-  EXPECT_TRUE(PrefixSums({}).empty());
-}
-
-TEST(Lerp, Endpoints) {
-  EXPECT_DOUBLE_EQ(Lerp(2.0, 10.0, 0.0), 2.0);
-  EXPECT_DOUBLE_EQ(Lerp(2.0, 10.0, 1.0), 10.0);
-  EXPECT_DOUBLE_EQ(Lerp(2.0, 10.0, 0.5), 6.0);
 }
 
 TEST(Clamp, Bounds) {
   EXPECT_DOUBLE_EQ(Clamp(5.0, 0.0, 1.0), 1.0);
   EXPECT_DOUBLE_EQ(Clamp(-5.0, 0.0, 1.0), 0.0);
   EXPECT_DOUBLE_EQ(Clamp(0.5, 0.0, 1.0), 0.5);
-}
-
-TEST(ApproxEqual, RelativeAndAbsolute) {
-  EXPECT_TRUE(ApproxEqual(1.0, 1.0 + 1e-12));
-  EXPECT_FALSE(ApproxEqual(1.0, 1.001));
-  EXPECT_TRUE(ApproxEqual(1.0, 1.001, 1e-2));
-  EXPECT_TRUE(ApproxEqual(0.0, 1e-13));
-}
-
-TEST(RoundToLL, Rounds) {
-  EXPECT_EQ(RoundToLL(2.4), 2);
-  EXPECT_EQ(RoundToLL(2.6), 3);
-  EXPECT_EQ(RoundToLL(-2.6), -3);
 }
 
 TEST(WelfordMoments, MatchesTwoPassStatistics) {

@@ -3,79 +3,60 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <stdexcept>
 #include <vector>
 
 namespace shep {
 namespace {
 
-PowerTrace MinuteRamp(std::size_t days) {
+/// `days` of 1-minute samples ramping 0..1439 each day.
+std::vector<double> MinuteRamp(std::size_t days) {
   std::vector<double> v(days * 1440);
   for (std::size_t i = 0; i < v.size(); ++i) {
     v[i] = static_cast<double>(i % 1440);
   }
-  return PowerTrace("T", std::move(v), 60);
+  return v;
 }
 
-TEST(DownsampleMean, FiveMinuteBlocks) {
-  const auto t = MinuteRamp(1);
-  const auto d = DownsampleMean(t, 5);
-  EXPECT_EQ(d.resolution_s(), 300);
-  EXPECT_EQ(d.samples_per_day(), 288u);
+TEST(DownsampleMeanInto, FiveMinuteBlocks) {
+  std::vector<double> d;
+  DownsampleMeanInto(MinuteRamp(1), 5, d);
+  EXPECT_EQ(d.size(), 288u);
   // First block: mean(0..4) = 2.
-  EXPECT_DOUBLE_EQ(d.at(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(d.at(0, 1), 7.0);
+  EXPECT_DOUBLE_EQ(d[0], 2.0);
+  EXPECT_DOUBLE_EQ(d[1], 7.0);
 }
 
-TEST(DownsampleMean, PreservesTotalEnergy) {
-  const auto t = MinuteRamp(2);
-  const auto d = DownsampleMean(t, 5);
-  EXPECT_NEAR(d.total_energy_j(), t.total_energy_j(), 1e-6);
+TEST(DownsampleMeanInto, PreservesTotalEnergy) {
+  const std::vector<double> t = MinuteRamp(2);
+  std::vector<double> d;
+  DownsampleMeanInto(t, 5, d);
+  // Each output sample stands for 5 input samples' worth of time.
+  EXPECT_NEAR(std::accumulate(d.begin(), d.end(), 0.0) * 5.0,
+              std::accumulate(t.begin(), t.end(), 0.0), 1e-6);
 }
 
-TEST(DownsampleMean, FactorOneIsIdentity) {
-  const auto t = MinuteRamp(1);
-  const auto d = DownsampleMean(t, 1);
-  EXPECT_EQ(d.size(), t.size());
-  EXPECT_DOUBLE_EQ(d.at(0, 100), t.at(0, 100));
+TEST(DownsampleMeanInto, FactorOneIsIdentity) {
+  const std::vector<double> t = MinuteRamp(1);
+  std::vector<double> d;
+  DownsampleMeanInto(t, 1, d);
+  EXPECT_EQ(d, t);
 }
 
-TEST(DownsampleDecimate, KeepsFirstOfBlock) {
-  const auto t = MinuteRamp(1);
-  const auto d = DownsampleDecimate(t, 5);
-  EXPECT_DOUBLE_EQ(d.at(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(d.at(0, 1), 5.0);
-  EXPECT_DOUBLE_EQ(d.at(0, 2), 10.0);
+TEST(DownsampleMeanInto, ReusesTheOutputBuffer) {
+  std::vector<double> d(5000, -1.0);
+  DownsampleMeanInto(MinuteRamp(1), 5, d);
+  ASSERT_EQ(d.size(), 288u);  // shrunk to fit, stale values overwritten.
+  EXPECT_DOUBLE_EQ(d[287], 1437.0);
 }
 
-TEST(UpsampleHold, RepeatsSamples) {
-  std::vector<double> v(288);
-  for (std::size_t i = 0; i < v.size(); ++i) v[i] = static_cast<double>(i);
-  const PowerTrace t("T", v, 300);
-  const auto u = UpsampleHold(t, 5);
-  EXPECT_EQ(u.resolution_s(), 60);
-  EXPECT_DOUBLE_EQ(u.at(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(u.at(0, 4), 0.0);
-  EXPECT_DOUBLE_EQ(u.at(0, 5), 1.0);
-}
-
-TEST(Resample, UpsampleThenDownsampleIsIdentity) {
-  std::vector<double> v(288);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    v[i] = static_cast<double>((i * 7) % 100);
-  }
-  const PowerTrace t("T", v, 300);
-  const auto round = DownsampleMean(UpsampleHold(t, 5), 5);
-  ASSERT_EQ(round.size(), t.size());
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    EXPECT_NEAR(round.samples()[i], t.samples()[i], 1e-12);
-  }
-}
-
-TEST(Resample, ValidatesFactors) {
-  const auto t = MinuteRamp(1);
-  EXPECT_THROW(DownsampleMean(t, 0), std::invalid_argument);
-  EXPECT_THROW(DownsampleMean(t, 7), std::invalid_argument);  // 1440 % 7 != 0
-  EXPECT_THROW(UpsampleHold(t, 7), std::invalid_argument);    // 60 % 7 != 0
+TEST(DownsampleMeanInto, ValidatesFactors) {
+  const std::vector<double> t = MinuteRamp(1);
+  std::vector<double> d;
+  EXPECT_THROW(DownsampleMeanInto(t, 0, d), std::invalid_argument);
+  EXPECT_THROW(DownsampleMeanInto(t, 7, d),  // 1440 % 7 != 0
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -65,12 +65,5 @@ TEST(FormatPercent, MatchesPaperStyle) {
   EXPECT_EQ(FormatPercent(0.5, 0), "50%");
 }
 
-TEST(StartsWith, Basic) {
-  EXPECT_TRUE(StartsWith("hello", "he"));
-  EXPECT_FALSE(StartsWith("hello", "lo"));
-  EXPECT_TRUE(StartsWith("x", ""));
-  EXPECT_FALSE(StartsWith("", "x"));
-}
-
 }  // namespace
 }  // namespace shep

@@ -55,21 +55,6 @@ TEST(PowerTrace, EnergyAccounting) {
   EXPECT_DOUBLE_EQ(t.total_energy_j(), 2.0 * 86400.0);
 }
 
-TEST(PowerTrace, SliceSelectsDays) {
-  PowerTrace t("T", Ramp(72), 3600);  // 3 days
-  const auto s = t.Slice(1, 2);
-  EXPECT_EQ(s.days(), 2u);
-  EXPECT_DOUBLE_EQ(s.at(0, 0), 24.0);
-  EXPECT_DOUBLE_EQ(s.at(1, 23), 71.0);
-}
-
-TEST(PowerTrace, SliceValidatesRange) {
-  PowerTrace t("T", Ramp(48), 3600);
-  EXPECT_THROW(t.Slice(0, 3), std::invalid_argument);
-  EXPECT_THROW(t.Slice(2, 1), std::invalid_argument);
-  EXPECT_THROW(t.Slice(0, 0), std::invalid_argument);
-}
-
 TEST(PowerTrace, RejectsBadConstruction) {
   // Resolution not dividing a day.
   EXPECT_THROW(PowerTrace("T", Ramp(10), 7), std::invalid_argument);

@@ -170,17 +170,6 @@ TEST(Wcma, AlphaZeroIgnoresCurrentSampleLevel) {
   EXPECT_NEAR(pred, 4.0, 1e-12);  // μ2 · Φ = 4 · 1
 }
 
-TEST(Wcma, CurrentMuMatchesHistoryAverage) {
-  WcmaParams p;
-  p.days = 2;
-  p.slots_k = 1;
-  Wcma wcma(p, 4);
-  for (double s : MiniDay(1.0)) wcma.Observe(s);
-  for (double s : MiniDay(2.0)) wcma.Observe(s);
-  EXPECT_NEAR(wcma.CurrentMu(1), (2.0 + 4.0) / 2.0, 1e-12);
-  EXPECT_NEAR(wcma.CurrentMu(2), (4.0 + 8.0) / 2.0, 1e-12);
-}
-
 TEST(Wcma, ResetRestoresInitialState) {
   WcmaParams p;
   p.days = 2;

@@ -5,11 +5,21 @@
 
 #include <array>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hpp"
 
 namespace shep {
 namespace {
+
+/// One day of transmittance in a fresh buffer.
+std::vector<double> DayTau(const WeatherModel& model, WeatherState state,
+                           int resolution_s, double& drift, Rng& rng) {
+  std::vector<double> tau;
+  WeatherModel::DayScratch scratch;
+  model.DayTransmittanceInto(state, resolution_s, drift, rng, tau, scratch);
+  return tau;
+}
 
 TEST(WeatherParams, DefaultsValidate) {
   WeatherParams w;
@@ -95,7 +105,7 @@ TEST(WeatherModel, DayTransmittanceWithinBounds) {
   double drift = 0.0;
   for (auto state : {WeatherState::kClear, WeatherState::kPartly,
                      WeatherState::kOvercast}) {
-    const auto tau = model.DayTransmittance(state, 60, drift, rng);
+    const auto tau = DayTau(model, state, 60, drift, rng);
     ASSERT_EQ(tau.size(), 1440u);
     for (double t : tau) {
       EXPECT_GE(t, WeatherParams{}.min_transmittance);
@@ -111,11 +121,11 @@ TEST(WeatherModel, ClearDaysBrighterThanOvercast) {
   double clear_sum = 0.0, overcast_sum = 0.0;
   for (int rep = 0; rep < 10; ++rep) {
     for (double t :
-         model.DayTransmittance(WeatherState::kClear, 300, drift, rng)) {
+         DayTau(model, WeatherState::kClear, 300, drift, rng)) {
       clear_sum += t;
     }
     for (double t :
-         model.DayTransmittance(WeatherState::kOvercast, 300, drift, rng)) {
+         DayTau(model, WeatherState::kOvercast, 300, drift, rng)) {
       overcast_sum += t;
     }
   }
@@ -134,7 +144,7 @@ TEST(WeatherModel, PartlyDaysAreMostVolatile) {
     double acc = 0.0;
     int reps = 20;
     for (int rep = 0; rep < reps; ++rep) {
-      const auto tau = model.DayTransmittance(s, 300, drift, rng);
+      const auto tau = DayTau(model, s, 300, drift, rng);
       double mean = 0.0;
       for (double t : tau) mean += t;
       mean /= static_cast<double>(tau.size());
@@ -152,8 +162,8 @@ TEST(WeatherModel, DeterministicGivenSeed) {
   WeatherModel model(WeatherParams{});
   Rng r1(5), r2(5);
   double d1 = 0.0, d2 = 0.0;
-  const auto a = model.DayTransmittance(WeatherState::kPartly, 300, d1, r1);
-  const auto b = model.DayTransmittance(WeatherState::kPartly, 300, d2, r2);
+  const auto a = DayTau(model, WeatherState::kPartly, 300, d1, r1);
+  const auto b = DayTau(model, WeatherState::kPartly, 300, d2, r2);
   EXPECT_EQ(a, b);
   EXPECT_DOUBLE_EQ(d1, d2);
 }
@@ -162,7 +172,7 @@ TEST(WeatherModel, ValidatesResolution) {
   WeatherModel model(WeatherParams{});
   Rng rng(1);
   double drift = 0.0;
-  EXPECT_THROW(model.DayTransmittance(WeatherState::kClear, 7, drift, rng),
+  EXPECT_THROW(DayTau(model, WeatherState::kClear, 7, drift, rng),
                std::invalid_argument);
 }
 

@@ -50,7 +50,6 @@
 #include "fleet/partial.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/shard_plan.hpp"
-#include "fleet/trace_cache.hpp"
 #include "trace/sink.hpp"
 
 namespace {
@@ -162,10 +161,10 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<shep::ThreadPool> pool;
   if (job.threads > 1) pool = std::make_unique<shep::ThreadPool>(job.threads);
-  // One lane per entry is plenty for a single campaign; the cap (rather
-  // than unbounded) is deliberate — a worker reused across many jobs would
-  // otherwise grow forever (the coordinator-era leak this PR closes).
-  shep::TraceCache cache(plan.lanes.size());
+  // Every lane this worker has synthesized, kept for the shards after it:
+  // the coordinator hands a worker whole lane groups, so each lane is
+  // built once per worker.  Bounded by the plan's lane count.
+  shep::PlanLanes lanes(plan.lanes.size());
   std::unique_ptr<shep::TraceSink> sink;
   if (!job.trace_dir.empty()) {
     shep::TraceSinkOptions sink_options;
@@ -189,7 +188,6 @@ int main(int argc, char** argv) {
   shep::FleetRunOptions run_options;
   run_options.pool = pool.get();
   run_options.shard_size = job.shard_size;
-  run_options.trace_cache = &cache;
   run_options.trace_sink = sink.get();
 
   std::size_t frames_written = 0;
@@ -207,7 +205,8 @@ int main(int argc, char** argv) {
     shep::FleetRunStats run_stats;
     try {
       const shep::FleetPartial partial = shep::RunFleetShards(
-          plan, {static_cast<std::size_t>(*shard)}, run_options, &run_stats);
+          plan, {static_cast<std::size_t>(*shard)}, lanes, run_options,
+          &run_stats);
       payload = partial.Serialize();
     } catch (const std::exception& e) {
       Fail(e.what());
@@ -219,7 +218,7 @@ int main(int argc, char** argv) {
     }
     std::string frame = shep::EncodeFleetFrame(
         static_cast<std::size_t>(*shard), payload,
-        run_stats.trace_cache_misses);
+        run_stats.lanes_synthesized);
     if (flags.corrupt_frame == frame_index) {
       // Garble the payload INSIDE the already-checksummed frame: the
       // header's byte count still matches, the checksum does not.
