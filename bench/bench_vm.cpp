@@ -40,13 +40,13 @@ BENCHMARK(BM_WcmaRoutineByK)->DenseRange(1, 7, 1);
 void BM_InterpreterLoop(benchmark::State& state) {
   // Tight arithmetic loop to measure raw interpreter dispatch cost.
   MicroVm vm(4);
-  const std::vector<Instr> prog{
+  const VmProgram prog({
       {Op::kLoadImm, 0, 0, 0, 0.0},    {Op::kLoadImm, 1, 0, 0, 1000.0},
       {Op::kLoadImm, 2, 0, 0, 0.0},    {Op::kLoadImm, 3, 0, 0, 1.0},
       {Op::kAdd, 0, 0, 3, 0.0},        {Op::kSub, 1, 1, 3, 0.0},
       {Op::kJgt, 4, 1, 2, 0.0},        {Op::kStore, 0, 0, 0, 0.0},
       {Op::kHalt, 0, 0, 0, 0.0},
-  };
+  });
   for (auto _ : state) {
     const auto r = vm.Run(prog, 100000);
     benchmark::DoNotOptimize(r.cycles);

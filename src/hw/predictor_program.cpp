@@ -1,6 +1,7 @@
 #include "hw/predictor_program.hpp"
 
-#include <cmath>
+#include <string>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -11,7 +12,7 @@ void WcmaProgramLayout::Validate() const {
   SHEP_REQUIRE(alpha >= 0.0 && alpha <= 1.0, "alpha must be in [0,1]");
 }
 
-std::vector<Instr> BuildWcmaPredictProgram(const WcmaProgramLayout& layout) {
+VmProgram BuildWcmaPredictProgram(const WcmaProgramLayout& layout) {
   layout.Validate();
   const int k_total = layout.slots_k;
   const bool alpha_zero = layout.alpha == 0.0;
@@ -31,7 +32,7 @@ std::vector<Instr> BuildWcmaPredictProgram(const WcmaProgramLayout& layout) {
     emit(Op::kLoad, 7, static_cast<int>(WcmaProgramLayout::kAddrSample));
     emit(Op::kStore, 7, static_cast<int>(WcmaProgramLayout::kAddrOutput));
     emit(Op::kHalt);
-    return p;
+    return VmProgram(std::move(p));
   }
 
   emit(Op::kLoadImm, 0, 0, 0, 0.0);  // num = 0
@@ -43,7 +44,8 @@ std::vector<Instr> BuildWcmaPredictProgram(const WcmaProgramLayout& layout) {
     const int addr_sample =
         static_cast<int>(WcmaProgramLayout::kAddrRecentBase) + k;
     const int addr_mu = static_cast<int>(layout.recent_mu_base()) + k;
-    const int addr_theta = static_cast<int>(layout.theta_base()) + k;
+    const double theta =
+        static_cast<double>(k + 1) / static_cast<double>(k_total);
 
     emit(Op::kLoad, 2, addr_sample);
     emit(Op::kLoad, 3, addr_mu);
@@ -54,7 +56,7 @@ std::vector<Instr> BuildWcmaPredictProgram(const WcmaProgramLayout& layout) {
     p[static_cast<std::size_t>(jgt_at)].a = static_cast<int>(p.size());
     emit(Op::kDiv, 4, 2, 3);               // eta = sample / mu
     p[static_cast<std::size_t>(jmp_at)].a = static_cast<int>(p.size());
-    emit(Op::kLoad, 5, addr_theta);
+    emit(Op::kLoadImm, 5, 0, 0, theta);
     emit(Op::kMul, 4, 5, 4);               // theta * eta
     emit(Op::kAdd, 0, 0, 4);               // num += ...
     emit(Op::kAdd, 1, 1, 5);               // den += theta
@@ -74,7 +76,7 @@ std::vector<Instr> BuildWcmaPredictProgram(const WcmaProgramLayout& layout) {
   }
   emit(Op::kStore, 7, static_cast<int>(WcmaProgramLayout::kAddrOutput));
   emit(Op::kHalt);
-  return p;
+  return VmProgram(std::move(p));
 }
 
 WcmaVmRun RunWcmaOnVm(const WcmaProgramLayout& layout,
@@ -93,13 +95,13 @@ WcmaVmRun RunWcmaOnVm(const WcmaProgramLayout& layout,
   for (std::size_t i = 0; i < k; ++i) {
     vm.Poke(WcmaProgramLayout::kAddrRecentBase + i, inputs.recent_samples[i]);
     vm.Poke(layout.recent_mu_base() + i, inputs.recent_mus[i]);
-    vm.Poke(layout.theta_base() + i,
-            static_cast<double>(i + 1) / static_cast<double>(k));
   }
 
   WcmaVmRun run;
   run.vm = vm.Run(BuildWcmaPredictProgram(layout));
-  if (run.vm.ok) run.prediction = vm.Peek(WcmaProgramLayout::kAddrOutput);
+  SHEP_CHECK(run.vm.ok(), std::string("WCMA VM routine trapped: ") +
+                              VmTrapName(run.vm.trap));
+  run.prediction = vm.Peek(WcmaProgramLayout::kAddrOutput);
   return run;
 }
 

@@ -2,10 +2,11 @@
 //
 // Assembles Eq. 1/3/4/5 into MicroVm instructions the way an embedded
 // implementation with a compile-time K would look: the Φ loop is unrolled,
-// θ(k) comes from a constant table, the night guard is a compare+branch,
-// and the α = 0 / α = 1 corners drop the unused term at "compile" time
-// (this is the mechanism behind Table IV's cheaper (K=7, α=0) row).
-// Executing the program yields both the prediction and its exact dynamic
+// each θ(k) is an immediate load (priced like the table read it stands
+// for), the night guard is a compare+branch, and the α = 0 / α = 1 corners
+// drop the unused term at "compile" time (this is the mechanism behind
+// Table IV's cheaper (K=7, α=0) row).  A program therefore depends only on
+// (K, α).  Executing it yields both the prediction and its exact dynamic
 // cycle cost under the platform's CycleCosts.
 #pragma once
 
@@ -32,11 +33,8 @@ struct WcmaProgramLayout {
   std::size_t recent_mu_base() const {
     return kAddrRecentBase + static_cast<std::size_t>(slots_k);
   }
-  std::size_t theta_base() const {
-    return kAddrRecentBase + 2 * static_cast<std::size_t>(slots_k);
-  }
   std::size_t memory_words() const {
-    return kAddrRecentBase + 3 * static_cast<std::size_t>(slots_k);
+    return kAddrRecentBase + 2 * static_cast<std::size_t>(slots_k);
   }
 
   /// Throws std::invalid_argument on bad parameters.
@@ -44,7 +42,7 @@ struct WcmaProgramLayout {
 };
 
 /// Assembles the prediction routine for the layout.
-std::vector<Instr> BuildWcmaPredictProgram(const WcmaProgramLayout& layout);
+VmProgram BuildWcmaPredictProgram(const WcmaProgramLayout& layout);
 
 /// Inputs of one prediction (oldest-first windows of exactly K entries).
 struct WcmaVmInputs {
@@ -60,7 +58,8 @@ struct WcmaVmRun {
   VmResult vm;
 };
 
-/// Convenience: allocate a VM, poke inputs + θ table, run, read output.
+/// Convenience: allocate a VM, poke inputs, run, read output.  A trap is an
+/// internal error (std::logic_error), as in VmWcmaPredictor.
 WcmaVmRun RunWcmaOnVm(const WcmaProgramLayout& layout,
                       const WcmaVmInputs& inputs,
                       const CycleCosts& costs = {});

@@ -1,7 +1,8 @@
 #include "hw/vm.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -16,14 +17,8 @@ std::string ToString(const Instr& instr) {
     case Op::kLoad:
       os << "load  r" << instr.a << ", [" << instr.b << "]";
       break;
-    case Op::kLoadIdx:
-      os << "load  r" << instr.a << ", [" << instr.b << "+r" << instr.c << "]";
-      break;
     case Op::kStore:
       os << "store [" << instr.b << "], r" << instr.a;
-      break;
-    case Op::kStoreIdx:
-      os << "store [" << instr.b << "+r" << instr.c << "], r" << instr.a;
       break;
     case Op::kMov:
       os << "mov   r" << instr.a << ", r" << instr.b;
@@ -43,20 +38,80 @@ std::string ToString(const Instr& instr) {
     case Op::kJmp:
       os << "jmp   " << instr.a;
       break;
-    case Op::kJz:
-      os << "jz    " << instr.a << ", r" << instr.b;
-      break;
     case Op::kJgt:
       os << "jgt   " << instr.a << ", r" << instr.b << ", r" << instr.c;
-      break;
-    case Op::kJge:
-      os << "jge   " << instr.a << ", r" << instr.b << ", r" << instr.c;
       break;
     case Op::kHalt:
       os << "halt";
       break;
   }
   return os.str();
+}
+
+namespace {
+
+bool IsRegister(int r) { return r >= 0 && r < MicroVm::kRegisters; }
+
+std::string At(std::size_t pc, const Instr& instr) {
+  return "pc=" + std::to_string(pc) + " (" + ToString(instr) + ")";
+}
+
+}  // namespace
+
+VmProgram::VmProgram(std::vector<Instr> code) : code_(std::move(code)) {
+  SHEP_REQUIRE(!code_.empty(), "VM program must not be empty");
+  for (std::size_t pc = 0; pc < code_.size(); ++pc) {
+    const Instr& in = code_[pc];
+    bool regs_ok = true;
+    switch (in.op) {
+      case Op::kLoadImm:
+        regs_ok = IsRegister(in.a);
+        break;
+      case Op::kLoad:
+      case Op::kStore:
+        regs_ok = IsRegister(in.a);
+        SHEP_REQUIRE(in.b >= 0, "negative address at " + At(pc, in));
+        memory_words_ =
+            std::max(memory_words_, static_cast<std::size_t>(in.b) + 1);
+        break;
+      case Op::kMov:
+        regs_ok = IsRegister(in.a) && IsRegister(in.b);
+        break;
+      case Op::kAdd:
+      case Op::kSub:
+      case Op::kMul:
+      case Op::kDiv:
+        regs_ok = IsRegister(in.a) && IsRegister(in.b) && IsRegister(in.c);
+        break;
+      case Op::kJgt:
+        regs_ok = IsRegister(in.b) && IsRegister(in.c);
+        [[fallthrough]];
+      case Op::kJmp:
+        SHEP_REQUIRE(in.a >= 0 && static_cast<std::size_t>(in.a) < code_.size(),
+                     "jump target outside the program at " + At(pc, in));
+        break;
+      case Op::kHalt:
+        break;
+      default:
+        SHEP_REQUIRE(false, "unknown opcode at pc=" + std::to_string(pc));
+    }
+    SHEP_REQUIRE(regs_ok, "bad register at " + At(pc, in));
+  }
+  const Op last = code_.back().op;
+  SHEP_REQUIRE(last == Op::kHalt || last == Op::kJmp,
+               "VM program must end in halt or jmp, or it can run off its end");
+}
+
+const char* VmTrapName(VmTrap trap) {
+  switch (trap) {
+    case VmTrap::kNone:
+      return "none";
+    case VmTrap::kDivisionByZero:
+      return "division by zero";
+    case VmTrap::kStepLimit:
+      return "step limit";
+  }
+  return "unknown";
 }
 
 MicroVm::MicroVm(std::size_t memory_words, const CycleCosts& costs)
@@ -75,147 +130,86 @@ double MicroVm::Peek(std::size_t address) const {
   return memory_[address];
 }
 
-VmResult MicroVm::Run(const std::vector<Instr>& program,
-                      std::uint64_t max_steps) {
+// The program was validated when it was built and its addresses are checked
+// against this VM's memory once below, so the loop indexes registers, memory
+// and code without per-instruction checks.
+// shep-lint: root(hot-path-alloc)
+VmResult MicroVm::Run(const VmProgram& program, std::uint64_t max_steps) {
+  SHEP_REQUIRE(program.memory_words() <= memory_.size(),
+               "program addresses more memory than the VM has");
   VmResult result;
-  if (program.empty()) {
-    result.trap = "empty program";
-    return result;
-  }
   double regs[kRegisters] = {};
-
-  auto trap = [&](const std::string& why, std::size_t pc) {
-    std::ostringstream os;
-    os << why << " at pc=" << pc;
-    if (pc < program.size()) os << " (" << ToString(program[pc]) << ")";
-    result.trap = os.str();
-    return result;
-  };
-  auto reg_ok = [](int r) { return r >= 0 && r < kRegisters; };
+  double* const mem = memory_.data();
+  const Instr* const code = program.code().data();
 
   std::size_t pc = 0;
   for (std::uint64_t step = 0; step < max_steps; ++step) {
-    if (pc >= program.size()) return trap("pc out of range", pc);
-    const Instr& in = program[pc];
+    const Instr& in = code[pc];
     ++result.instructions;
     switch (in.op) {
       case Op::kLoadImm:
-        if (!reg_ok(in.a)) return trap("bad register", pc);
         regs[in.a] = in.imm;
         result.cycles += costs_.load;
         result.ops.load += 1;
         ++pc;
         break;
-      case Op::kLoad: {
-        if (!reg_ok(in.a)) return trap("bad register", pc);
-        if (in.b < 0 || static_cast<std::size_t>(in.b) >= memory_.size())
-          return trap("load address out of range", pc);
-        regs[in.a] = memory_[static_cast<std::size_t>(in.b)];
+      case Op::kLoad:
+        regs[in.a] = mem[in.b];
         result.cycles += costs_.load;
         result.ops.load += 1;
         ++pc;
         break;
-      }
-      case Op::kLoadIdx: {
-        if (!reg_ok(in.a) || !reg_ok(in.c)) return trap("bad register", pc);
-        const double idx = regs[in.c];
-        const long long address = in.b + static_cast<long long>(idx);
-        if (address < 0 ||
-            static_cast<std::size_t>(address) >= memory_.size())
-          return trap("indexed load out of range", pc);
-        regs[in.a] = memory_[static_cast<std::size_t>(address)];
-        result.cycles += costs_.load;
-        result.ops.load += 1;
-        ++pc;
-        break;
-      }
-      case Op::kStore: {
-        if (!reg_ok(in.a)) return trap("bad register", pc);
-        if (in.b < 0 || static_cast<std::size_t>(in.b) >= memory_.size())
-          return trap("store address out of range", pc);
-        memory_[static_cast<std::size_t>(in.b)] = regs[in.a];
+      case Op::kStore:
+        mem[in.b] = regs[in.a];
         result.cycles += costs_.store;
         result.ops.store += 1;
         ++pc;
         break;
-      }
-      case Op::kStoreIdx: {
-        if (!reg_ok(in.a) || !reg_ok(in.c)) return trap("bad register", pc);
-        const long long address =
-            in.b + static_cast<long long>(regs[in.c]);
-        if (address < 0 ||
-            static_cast<std::size_t>(address) >= memory_.size())
-          return trap("indexed store out of range", pc);
-        memory_[static_cast<std::size_t>(address)] = regs[in.a];
-        result.cycles += costs_.store;
-        result.ops.store += 1;
-        ++pc;
-        break;
-      }
       case Op::kMov:
-        if (!reg_ok(in.a) || !reg_ok(in.b)) return trap("bad register", pc);
         regs[in.a] = regs[in.b];
         result.cycles += costs_.add;  // register move ~ one ALU slot
         result.ops.add += 1;
         ++pc;
         break;
       case Op::kAdd:
-      case Op::kSub: {
-        if (!reg_ok(in.a) || !reg_ok(in.b) || !reg_ok(in.c))
-          return trap("bad register", pc);
+      case Op::kSub:
         regs[in.a] = in.op == Op::kAdd ? regs[in.b] + regs[in.c]
                                        : regs[in.b] - regs[in.c];
         result.cycles += costs_.add;
         result.ops.add += 1;
         ++pc;
         break;
-      }
       case Op::kMul:
-        if (!reg_ok(in.a) || !reg_ok(in.b) || !reg_ok(in.c))
-          return trap("bad register", pc);
         regs[in.a] = regs[in.b] * regs[in.c];
         result.cycles += costs_.mul;
         result.ops.mul += 1;
         ++pc;
         break;
       case Op::kDiv:
-        if (!reg_ok(in.a) || !reg_ok(in.b) || !reg_ok(in.c))
-          return trap("bad register", pc);
-        if (regs[in.c] == 0.0) return trap("division by zero", pc);
+        if (regs[in.c] == 0.0) {
+          result.trap = VmTrap::kDivisionByZero;
+          return result;
+        }
         regs[in.a] = regs[in.b] / regs[in.c];
         result.cycles += costs_.div;
         result.ops.div += 1;
         ++pc;
         break;
       case Op::kJmp:
-        if (in.a < 0 || static_cast<std::size_t>(in.a) > program.size())
-          return trap("jump target out of range", pc);
         result.cycles += costs_.branch;
         result.ops.branch += 1;
         pc = static_cast<std::size_t>(in.a);
         break;
-      case Op::kJz:
       case Op::kJgt:
-      case Op::kJge: {
-        if (!reg_ok(in.b) || (in.op != Op::kJz && !reg_ok(in.c)))
-          return trap("bad register", pc);
-        if (in.a < 0 || static_cast<std::size_t>(in.a) > program.size())
-          return trap("jump target out of range", pc);
-        bool taken = false;
-        if (in.op == Op::kJz) taken = regs[in.b] == 0.0;
-        if (in.op == Op::kJgt) taken = regs[in.b] > regs[in.c];
-        if (in.op == Op::kJge) taken = regs[in.b] >= regs[in.c];
         result.cycles += costs_.branch;
         result.ops.branch += 1;
-        pc = taken ? static_cast<std::size_t>(in.a) : pc + 1;
+        pc = regs[in.b] > regs[in.c] ? static_cast<std::size_t>(in.a) : pc + 1;
         break;
-      }
       case Op::kHalt:
-        result.ok = true;
         return result;
     }
   }
-  result.trap = "max steps exceeded";
+  result.trap = VmTrap::kStepLimit;
   return result;
 }
 

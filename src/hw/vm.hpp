@@ -8,9 +8,12 @@
 // branches.  Each executed instruction is charged its CycleCosts price, so
 // a program's cycle count — and through ActiveCycleEnergyJ() its energy —
 // falls out of actually running the algorithm rather than from a hand
-// estimate.  tests/test_vm.cpp pins the semantics; test_predictor_program
-// cross-checks the VM-computed prediction against the double-precision
-// WCMA formula.
+// estimate.  A program is validated once, when its VmProgram is built, so
+// the interpreter loop holds only the semantics and the cycle accounting;
+// its only run-time traps are a division by zero and the step limit.
+// tests/test_vm.cpp pins the semantics; test_predictor_program cross-checks
+// the VM-computed prediction against the double-precision WCMA formula and
+// pins the routine's exact costs.
 //
 // Values are doubles for semantic clarity (the cost model, not the bit
 // width, is what we need from the VM); the fixed-point rounding story is
@@ -25,24 +28,23 @@
 
 namespace shep {
 
-/// MicroVm opcodes.  Three-address form: fields a, b, c are register
-/// indices or memory addresses depending on the opcode.
+/// MicroVm opcodes: what the compiled WCMA routine (and the interpreter's
+/// own tests and bench) emit.  Three-address form: fields a, b, c are
+/// register indices or memory addresses depending on the opcode.  Every
+/// address is a static field, so validating a program covers all of its
+/// memory accesses.
 enum class Op : std::uint8_t {
-  kLoadImm,   ///< r[a] = imm
-  kLoad,      ///< r[a] = mem[b]
-  kLoadIdx,   ///< r[a] = mem[b + r[c]]
-  kStore,     ///< mem[b] = r[a]
-  kStoreIdx,  ///< mem[b + r[c]] = r[a]
-  kMov,       ///< r[a] = r[b]
-  kAdd,       ///< r[a] = r[b] + r[c]
-  kSub,       ///< r[a] = r[b] - r[c]
-  kMul,       ///< r[a] = r[b] * r[c]   (hardware multiplier)
-  kDiv,       ///< r[a] = r[b] / r[c]   (software divide; traps on /0)
-  kJmp,       ///< pc = a
-  kJz,        ///< if (r[b] == 0) pc = a
-  kJgt,       ///< if (r[b] >  r[c]) pc = a
-  kJge,       ///< if (r[b] >= r[c]) pc = a
-  kHalt,      ///< stop
+  kLoadImm,  ///< r[a] = imm
+  kLoad,     ///< r[a] = mem[b]
+  kStore,    ///< mem[b] = r[a]
+  kMov,      ///< r[a] = r[b]
+  kAdd,      ///< r[a] = r[b] + r[c]
+  kSub,      ///< r[a] = r[b] - r[c]
+  kMul,      ///< r[a] = r[b] * r[c]   (hardware multiplier)
+  kDiv,      ///< r[a] = r[b] / r[c]   (software divide; traps on /0)
+  kJmp,      ///< pc = a
+  kJgt,      ///< if (r[b] > r[c]) pc = a
+  kHalt,     ///< stop
 };
 
 /// One instruction.  `imm` is used by kLoadImm only.
@@ -54,16 +56,48 @@ struct Instr {
   double imm = 0.0;
 };
 
-/// Human-readable rendering for debugging/test failure messages.
+/// Human-readable rendering for validation errors and test messages.
 std::string ToString(const Instr& instr);
+
+/// A MicroVm program, checked once when it is built: every register index
+/// is in [0, MicroVm::kRegisters), every address is non-negative, every
+/// jump target lies inside the program, and the program is non-empty and
+/// ends in kHalt or kJmp so execution cannot run off its end.  MicroVm::Run
+/// relies on these facts instead of re-checking them per instruction.
+class VmProgram {
+ public:
+  /// Throws std::invalid_argument naming the first malformed instruction.
+  explicit VmProgram(std::vector<Instr> code);
+
+  const std::vector<Instr>& code() const { return code_; }
+  /// Data words the program touches: one past its highest load/store
+  /// address (0 when it touches none).
+  std::size_t memory_words() const { return memory_words_; }
+
+ private:
+  std::vector<Instr> code_;
+  std::size_t memory_words_ = 0;
+};
+
+/// Why a run stopped early.  These are the only run-time traps: everything
+/// else a program could get wrong is rejected when the VmProgram is built.
+enum class VmTrap : std::uint8_t {
+  kNone,
+  kDivisionByZero,
+  kStepLimit,
+};
+
+/// Stable lowercase name of a trap, for messages.
+const char* VmTrapName(VmTrap trap);
 
 /// Outcome of a program run.
 struct VmResult {
-  bool ok = false;
-  std::string trap;              ///< non-empty when the VM trapped.
+  VmTrap trap = VmTrap::kNone;
   double cycles = 0.0;           ///< cycle-cost sum of executed instructions.
   std::uint64_t instructions = 0;
   OpCounts ops;                  ///< dynamic op mix (for energy accounting).
+
+  bool ok() const { return trap == VmTrap::kNone; }
 };
 
 /// The virtual machine.  Construct with a memory size, Poke inputs, Run a
@@ -81,9 +115,10 @@ class MicroVm {
   std::size_t memory_size() const { return memory_.size(); }
 
   /// Executes `program` from pc=0 until kHalt, a trap, or `max_steps`.
-  /// Registers are zeroed at entry.  Memory persists across runs.
-  VmResult Run(const std::vector<Instr>& program,
-               std::uint64_t max_steps = 1'000'000);
+  /// Registers are zeroed at entry.  Memory persists across runs.  Throws
+  /// std::invalid_argument if the program addresses more memory than the
+  /// VM has; allocates nothing.
+  VmResult Run(const VmProgram& program, std::uint64_t max_steps = 1'000'000);
 
  private:
   std::vector<double> memory_;

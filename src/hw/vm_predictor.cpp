@@ -68,12 +68,11 @@ double VmWcmaPredictor::PredictNext() const {
   for (std::size_t i = 0; i < k_avail; ++i) {
     vm_.Poke(WcmaProgramLayout::kAddrRecentBase + i, recent[i].sample);
     vm_.Poke(layout.recent_mu_base() + i, recent[i].mu);
-    vm_.Poke(layout.theta_base() + i,
-             static_cast<double>(i + 1) / static_cast<double>(k_avail));
   }
 
   const VmResult run = vm_.Run(programs_[k_avail - 1]);
-  SHEP_CHECK(run.ok, "WCMA VM routine trapped: " + run.trap);
+  SHEP_CHECK(run.ok(), std::string("WCMA VM routine trapped: ") +
+                           VmTrapName(run.trap));
   ++vm_runs_;
   last_cycles_ = run.cycles;
   total_cycles_ += run.cycles;

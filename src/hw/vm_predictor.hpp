@@ -72,7 +72,7 @@ class VmWcmaPredictor final : public Predictor, public ComputeCostReporter {
 
   /// Routine compiled once per available window size (index k_avail - 1);
   /// warm-up runs the shorter-window builds, steady state programs_[K-1].
-  std::vector<std::vector<Instr>> programs_;
+  std::vector<VmProgram> programs_;
   /// Sized for the K-slot layout (the largest); shorter-window layouts use
   /// a prefix of the same data memory.  mutable: PredictNext() is logically
   /// const but must poke inputs and run the machine.

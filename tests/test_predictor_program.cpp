@@ -36,7 +36,7 @@ TEST_P(ProgramEquivalenceTest, VmMatchesReferenceFormula) {
   for (int rep = 0; rep < 50; ++rep) {
     const auto in = RandomInputs(k, rng);
     const auto run = RunWcmaOnVm(layout, in);
-    ASSERT_TRUE(run.vm.ok) << run.vm.trap;
+    ASSERT_TRUE(run.vm.ok());
     EXPECT_NEAR(run.prediction, ReferenceWcmaPrediction(layout, in), 1e-12);
   }
 }
@@ -56,7 +56,7 @@ TEST(PredictorProgram, NightGuardBranchTaken) {
   in.recent_samples = {0.5, 1.0};
   in.recent_mus = {0.0, 1.0};  // first slot is "night": η must become 1
   const auto run = RunWcmaOnVm(layout, in);
-  ASSERT_TRUE(run.vm.ok) << run.vm.trap;
+  ASSERT_TRUE(run.vm.ok());
   EXPECT_NEAR(run.prediction, ReferenceWcmaPrediction(layout, in), 1e-12);
   // And the reference treats η(0) as 1: Φ = (1/2·1 + 1·1)/1.5 = 1.
   EXPECT_NEAR(run.prediction, 0.5 * 1.0 + 0.5 * 0.8 * 1.0, 1e-12);
@@ -74,7 +74,7 @@ TEST(PredictorProgram, CyclesGrowMonotonicallyWithK) {
     layout.slots_k = k;
     const auto in = RandomInputs(k, rng);
     const auto run = RunWcmaOnVm(layout, in, costs);
-    ASSERT_TRUE(run.vm.ok) << run.vm.trap;
+    ASSERT_TRUE(run.vm.ok());
     if (k > 1) {
       EXPECT_GT(run.vm.cycles, prev_cycles + 0.8 * costs.div) << "K=" << k;
     }
@@ -92,7 +92,7 @@ TEST(PredictorProgram, AlphaZeroIsCheaperThanBlend) {
   zero.alpha = 0.0;
   const auto run_blend = RunWcmaOnVm(blend, in);
   const auto run_zero = RunWcmaOnVm(zero, in);
-  ASSERT_TRUE(run_blend.vm.ok && run_zero.vm.ok);
+  ASSERT_TRUE(run_blend.vm.ok() && run_zero.vm.ok());
   EXPECT_LT(run_zero.vm.cycles, run_blend.vm.cycles);
 }
 
@@ -103,7 +103,7 @@ TEST(PredictorProgram, AlphaOneIsAlmostFree) {
   one.slots_k = 3;
   one.alpha = 1.0;
   const auto run = RunWcmaOnVm(one, in);
-  ASSERT_TRUE(run.vm.ok);
+  ASSERT_TRUE(run.vm.ok());
   EXPECT_DOUBLE_EQ(run.prediction, in.sample);
   EXPECT_EQ(run.vm.ops.div, 0u);
   EXPECT_LT(run.vm.instructions, 5u);
@@ -221,8 +221,11 @@ TEST(PredictorProgram, MemoryLayoutIsCompact) {
   WcmaProgramLayout layout;
   layout.slots_k = 4;
   EXPECT_EQ(layout.recent_mu_base(), 8u);
-  EXPECT_EQ(layout.theta_base(), 12u);
-  EXPECT_EQ(layout.memory_words(), 16u);
+  EXPECT_EQ(layout.memory_words(), 12u);  // 4 + 2K: θ is immediate.
+  // The routine touches exactly the layout's words, so VmWcmaPredictor's
+  // VM, sized from the layout, passes Run's one memory check.
+  EXPECT_EQ(BuildWcmaPredictProgram(layout).memory_words(),
+            layout.memory_words());
 }
 
 }  // namespace

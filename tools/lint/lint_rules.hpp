@@ -33,7 +33,8 @@
 //
 //  * hot-path-alloc       — nothing reachable from an annotated hot-path
 //                           root (the kernel slot loop, the synthesis
-//                           scratch paths, TraceRing::TryPush) may
+//                           scratch paths, TraceRing::TryPush, the
+//                           MicroVm::Run interpreter loop) may
 //                           allocate (new/malloc, growable-container
 //                           push_back/resize/reserve, std::string
 //                           building) or construct a lock: the per-slot
