@@ -31,14 +31,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     queue_.push(std::move(task));
-    ++in_flight_;
   }
   task_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -56,19 +50,13 @@ void ThreadPool::WorkerLoop() {
       queue_.pop();
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 
 namespace {
 
-/// Join state of one ParallelFor call.  Owning it per batch (instead of
-/// joining through the pool-global in_flight_ counter) is what lets two
-/// concurrent batches on one pool finish independently, and gives the
+/// Join state of one ParallelFor call.  Owning it per batch is what lets
+/// two concurrent batches on one pool finish independently, and gives the
 /// batch's first exception a home until the calling thread can rethrow it.
 struct BatchState {
   std::atomic<std::size_t> cursor{0};   ///< next iteration to claim.

@@ -31,14 +31,10 @@ class ThreadPool {
 
   /// Enqueues a task; raw-submitted tasks must not throw (nothing past the
   /// worker loop could rethrow them — use ParallelFor for fallible work, it
-  /// captures and rethrows at its own join).
+  /// captures and rethrows at its own join).  The pool offers no global
+  /// join: ParallelFor joins each batch on its own counter, and the
+  /// destructor runs every queued task before it returns.
   void Submit(std::function<void()> task);
-
-  /// Blocks until every task submitted so far — from any caller — has
-  /// finished.  This is a pool-GLOBAL join for raw Submit() users;
-  /// ParallelFor does not use it (each batch joins on its own counter, so
-  /// concurrent batches on one pool never wait for each other's tasks).
-  void Wait();
 
  private:
   void WorkerLoop();
@@ -47,8 +43,6 @@ class ThreadPool {
   std::queue<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;
   bool stopping_ = false;
 };
 

@@ -11,12 +11,13 @@ namespace shep {
 
 namespace {
 
-/// Paints `trigger` over the window of `masks` centred on `center`,
-/// clamped to the sequence bounds.
+/// Paints `trigger` over the kTraceWindowSlots-wide window of `masks` on
+/// each side of `center`, clamped to the sequence bounds.
 void PaintWindow(std::vector<std::uint32_t>& masks, std::size_t center,
-                 std::uint32_t window, std::uint32_t trigger) {
-  const std::size_t lo = center >= window ? center - window : 0;
-  const std::size_t hi = std::min(masks.size() - 1, center + window);
+                 std::uint32_t trigger) {
+  constexpr std::size_t kWindow = kTraceWindowSlots;
+  const std::size_t lo = center >= kWindow ? center - kWindow : 0;
+  const std::size_t hi = std::min(masks.size() - 1, center + kWindow);
   for (std::size_t i = lo; i <= hi; ++i) masks[i] |= trigger;
 }
 
@@ -24,7 +25,6 @@ void PaintWindow(std::vector<std::uint32_t>& masks, std::size_t center,
 
 void ApplyTracePolicy(const std::vector<TraceEvent>& events,
                       std::uint32_t slots_per_day,
-                      const TracePolicyConfig& config,
                       std::vector<TraceRecord>& records,
                       std::vector<TraceDayRecord>& day_records) {
   SHEP_REQUIRE(slots_per_day > 0, "trace policy needs slots_per_day > 0");
@@ -44,8 +44,8 @@ void ApplyTracePolicy(const std::vector<TraceEvent>& events,
     SHEP_REQUIRE(i == 0 || events[i - 1].slot < e.slot,
                  "trace policy events must be ascending by slot");
 
-    if (prev_soc >= config.soc_low_water && e.soc < config.soc_low_water) {
-      PaintWindow(masks, i, config.window_slots, kTraceTriggerSocLowWater);
+    if (prev_soc >= kTraceSocLowWater && e.soc < kTraceSocLowWater) {
+      PaintWindow(masks, i, kTraceTriggerSocLowWater);
     }
     prev_soc = e.soc;
 
@@ -54,7 +54,7 @@ void ApplyTracePolicy(const std::vector<TraceEvent>& events,
     // and the post-recovery re-warm-up are exactly what a degradation
     // investigation needs.
     if (e.outage != prev_outage) {
-      PaintWindow(masks, i, config.window_slots, kTraceTriggerOutage);
+      PaintWindow(masks, i, kTraceTriggerOutage);
     }
     prev_outage = e.outage;
 
@@ -62,17 +62,17 @@ void ApplyTracePolicy(const std::vector<TraceEvent>& events,
     // artifact, not predictor divergence.
     if (!e.outage && e.actual_w > kNightEpsilonW &&
         std::abs(e.predicted_w - e.actual_w) >
-            config.divergence_mape * e.actual_w) {
-      PaintWindow(masks, i, config.window_slots, kTraceTriggerDivergence);
+            kTraceDivergenceMape * e.actual_w) {
+      PaintWindow(masks, i, kTraceTriggerDivergence);
     }
 
     if (e.violated) ++trailing_violations;
-    if (i >= config.burst_window_slots &&
-        events[i - config.burst_window_slots].violated) {
+    if (i >= kTraceBurstWindowSlots &&
+        events[i - kTraceBurstWindowSlots].violated) {
       --trailing_violations;
     }
-    if (trailing_violations >= config.burst_violations) {
-      PaintWindow(masks, i, config.window_slots, kTraceTriggerViolationBurst);
+    if (trailing_violations >= kTraceBurstViolations) {
+      PaintWindow(masks, i, kTraceTriggerViolationBurst);
     }
   }
 

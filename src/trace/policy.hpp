@@ -8,10 +8,10 @@
 // outside every window collapse into per-day TraceDayRecords, so the
 // timeline stays gap-free at coarse resolution.
 //
-// ApplyPolicy is a pure function of (events, config): no clocks, no
-// randomness, no global state.  The same node sequence always yields the
-// same records, which is what makes per-shard trace files reproducible
-// across thread counts and process boundaries.
+// ApplyTracePolicy is a pure function of (events, slots_per_day): no
+// clocks, no randomness, no global state, no options.  The same node
+// sequence always yields the same records, which is what makes per-shard
+// trace files reproducible across thread counts and process boundaries.
 #pragma once
 
 #include <cstdint>
@@ -22,23 +22,23 @@
 
 namespace shep {
 
-/// Tuning knobs for what counts as "interesting".  The defaults suit the
-/// day-scale scenarios of the demos and tests; real deployments tune them
-/// via FleetRunOptions' sink options.
-struct TracePolicyConfig {
-  /// Full-resolution slots kept on EACH side of a trigger slot.
-  std::uint32_t window_slots = 6;
-  /// SoC fraction whose downward crossing triggers a window.
-  double soc_low_water = 0.15;
-  /// Relative prediction error |predicted − actual| / actual above which a
-  /// slot counts as a divergence spike (actual must be daylight — above
-  /// the night epsilon — for the ratio to mean anything).
-  double divergence_mape = 0.75;
-  /// A burst is this many violations...
-  std::uint32_t burst_violations = 3;
-  /// ...inside a trailing window of this many slots.
-  std::uint32_t burst_window_slots = 8;
-};
+/// What counts as "interesting".  These are constants, not options: every
+/// traced run (in process, sharded, or through the coordinator, whose
+/// workers cannot carry a policy) must persist the same slots, so trace
+/// files of one campaign never depend on how it was run.
+///
+/// Full-resolution slots kept on EACH side of a trigger slot.
+inline constexpr std::uint32_t kTraceWindowSlots = 6;
+/// SoC fraction whose downward crossing triggers a window.
+inline constexpr double kTraceSocLowWater = 0.15;
+/// Relative prediction error |predicted − actual| / actual above which a
+/// slot counts as a divergence spike (actual must be daylight — above the
+/// night epsilon — for the ratio to mean anything).
+inline constexpr double kTraceDivergenceMape = 0.75;
+/// A burst is this many violations...
+inline constexpr std::uint32_t kTraceBurstViolations = 3;
+/// ...inside a trailing window of this many slots.
+inline constexpr std::uint32_t kTraceBurstWindowSlots = 8;
 
 /// Distills one node's in-order slot events into full-resolution records
 /// (inside trigger windows) plus per-day summaries (everywhere else),
@@ -47,7 +47,6 @@ struct TracePolicyConfig {
 /// summaries.
 void ApplyTracePolicy(const std::vector<TraceEvent>& events,
                       std::uint32_t slots_per_day,
-                      const TracePolicyConfig& config,
                       std::vector<TraceRecord>& records,
                       std::vector<TraceDayRecord>& day_records);
 

@@ -166,8 +166,7 @@ void TraceSink::Consume(RingAssembly& assembly, const TraceEvent& event) {
 void TraceSink::CloseNode(RingAssembly& assembly) {
   if (assembly.node_open && !assembly.node_events.empty()) {
     ApplyTracePolicy(assembly.node_events, assembly.file.slots_per_day,
-                     options_.policy, assembly.file.records,
-                     assembly.file.day_records);
+                     assembly.file.records, assembly.file.day_records);
   }
   assembly.node_events.clear();
   assembly.node_open = false;

@@ -58,7 +58,6 @@ struct TraceSinkOptions {
   bool block_on_full = false;
   /// How long the drain sleeps when every ring comes up empty.
   std::uint32_t drain_idle_micros = 200;
-  TracePolicyConfig policy;
 };
 
 /// What one run hands the sink before its shards start: the identity and

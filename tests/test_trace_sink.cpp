@@ -10,7 +10,7 @@
 //    the joined per-shard files equals the same query per shard,
 //    concatenated — the distributed-merge property, restated for traces.
 //
-// Plus unit coverage of the selective-persistence policy's three triggers.
+// Plus unit coverage of the selective-persistence policy's four triggers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -110,98 +110,140 @@ TraceEvent SlotEvent(std::uint32_t slot, double soc, double predicted_w,
 // Policy units.
 // ---------------------------------------------------------------------------
 
+// The policy's thresholds are constants; the sequences below are sized from
+// them so each window is painted in full on both sides of its trigger.
+constexpr std::uint32_t kW = kTraceWindowSlots;
+
 TEST(TracePolicy, SocLowWaterCrossingKeepsAWindow) {
-  TracePolicyConfig config;
-  config.window_slots = 2;
-  config.soc_low_water = 0.15;
+  // 36 slots over 3 days of 12; the SoC dips below the low-water mark at
+  // slot 15 only (coming back up is not a crossing).
+  constexpr std::uint32_t kDip = 15;
   std::vector<TraceEvent> events;
-  for (std::uint32_t g = 0; g < 12; ++g) {
-    // Dips below the low-water mark at slot 6 only.
-    events.push_back(SlotEvent(g, g == 6 ? 0.10 : 0.5, 1.0, 1.0));
+  for (std::uint32_t g = 0; g < 36; ++g) {
+    const double soc =
+        g == kDip ? kTraceSocLowWater - 0.05 : kTraceSocLowWater + 0.35;
+    events.push_back(SlotEvent(g, soc, 1.0, 1.0));
   }
   std::vector<TraceRecord> records;
   std::vector<TraceDayRecord> days;
-  ApplyTracePolicy(events, 6, config, records, days);
+  ApplyTracePolicy(events, 12, records, days);
 
-  ASSERT_EQ(records.size(), 5u);  // slots 4..8.
+  // kW slots on each side of the trigger, the trigger itself in between.
+  ASSERT_EQ(records.size(), 2 * kW + 1);
   for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].slot, 4 + i);
+    EXPECT_EQ(records[i].slot, kDip - kW + i);
     EXPECT_EQ(records[i].trigger_mask, kTraceTriggerSocLowWater);
   }
-  // The other 7 slots summarize into both days without gaps.
-  ASSERT_EQ(days.size(), 2u);
+  // The other slots summarize into all three days without gaps.
+  ASSERT_EQ(days.size(), 3u);
   EXPECT_EQ(days[0].day, 0u);
-  EXPECT_EQ(days[0].slots, 4u);  // slots 0..3.
+  EXPECT_EQ(days[0].slots, kDip - kW);         // slots 0 .. 8.
   EXPECT_EQ(days[1].day, 1u);
-  EXPECT_EQ(days[1].slots, 3u);  // slots 9..11.
-  EXPECT_EQ(days[0].slots + days[1].slots + records.size(), events.size());
+  EXPECT_EQ(days[1].slots, 24 - (kDip + kW + 1));  // slots 22 .. 23.
+  EXPECT_EQ(days[2].day, 2u);
+  EXPECT_EQ(days[2].slots, 12u);
+  EXPECT_EQ(days[0].slots + days[1].slots + days[2].slots + records.size(),
+            events.size());
 }
 
 TEST(TracePolicy, DivergenceSpikeTriggersButNightDoesNot) {
-  TracePolicyConfig config;
-  config.window_slots = 1;
-  config.divergence_mape = 0.75;
+  constexpr std::uint32_t kSpike = 10;
   std::vector<TraceEvent> events;
-  for (std::uint32_t g = 0; g < 10; ++g) {
+  for (std::uint32_t g = 0; g < 40; ++g) {
     double predicted = 1.0, actual = 1.0;
-    if (g == 4) predicted = 3.0;          // 200 % error in daylight: spike.
-    if (g == 8) { predicted = 5.0; actual = 0.0; }  // night: no reference.
+    // An error just above the threshold in daylight: a spike.
+    if (g == kSpike) predicted = 1.0 + kTraceDivergenceMape + 0.01;
+    // Just below it: stays coarse.
+    if (g == 22) predicted = 1.0 + kTraceDivergenceMape - 0.01;
+    if (g == 32) { predicted = 5.0; actual = 0.0; }  // night: no reference.
     events.push_back(SlotEvent(g, 0.5, predicted, actual));
   }
   std::vector<TraceRecord> records;
   std::vector<TraceDayRecord> days;
-  ApplyTracePolicy(events, 10, config, records, days);
+  ApplyTracePolicy(events, 40, records, days);
 
-  ASSERT_EQ(records.size(), 3u);  // slots 3..5 only; slot 8 stayed coarse.
-  for (const TraceRecord& r : records) {
-    EXPECT_EQ(r.trigger_mask, kTraceTriggerDivergence);
-    EXPECT_GE(r.slot, 3u);
-    EXPECT_LE(r.slot, 5u);
+  ASSERT_EQ(records.size(), 2 * kW + 1);  // around slot 10 only.
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].slot, kSpike - kW + i);
+    EXPECT_EQ(records[i].trigger_mask, kTraceTriggerDivergence);
   }
   ASSERT_EQ(days.size(), 1u);
-  EXPECT_EQ(days[0].slots, 7u);
+  EXPECT_EQ(days[0].slots + records.size(), events.size());
   // The night slot's 5 W miss is still visible in the coarse record.
   EXPECT_EQ(days[0].max_abs_error_w, 5.0);
 }
 
 TEST(TracePolicy, ViolationBurstTriggersOnPileUpOnly) {
-  TracePolicyConfig config;
-  config.window_slots = 1;
-  config.burst_violations = 3;
-  config.burst_window_slots = 4;
+  // An isolated violation at 2, a pair at 20 and 26 (inside one trailing
+  // window, but short of a burst), and a pile-up at 40..42.
   std::vector<TraceEvent> events;
-  for (std::uint32_t g = 0; g < 20; ++g) {
-    // One isolated violation at 2; a 3-violation pile-up at 10..12.
-    const bool violated = g == 2 || g == 10 || g == 11 || g == 12;
+  for (std::uint32_t g = 0; g < 64; ++g) {
+    const bool violated =
+        g == 2 || g == 20 || g == 26 || g == 40 || g == 41 || g == 42;
     events.push_back(SlotEvent(g, 0.5, 1.0, 1.0, violated));
   }
   std::vector<TraceRecord> records;
   std::vector<TraceDayRecord> days;
-  ApplyTracePolicy(events, 20, config, records, days);
+  ApplyTracePolicy(events, 64, records, days);
 
-  // The trailing count reaches 3 at slot 12 and holds through 13; those
-  // two trigger slots ± 1 make the persisted window exactly 11..14.
-  ASSERT_EQ(records.size(), 4u);
+  // The trailing count reaches kTraceBurstViolations at slot 42 and holds
+  // while slot 40 stays inside the trailing window; those trigger slots
+  // ± kW make the persisted window.
+  static_assert(kTraceBurstViolations == 3);
+  constexpr std::uint32_t kFirstTrigger = 42;
+  constexpr std::uint32_t kLastTrigger = 40 + kTraceBurstWindowSlots - 1;
+  const std::uint32_t first = kFirstTrigger - kW;
+  const std::uint32_t last = kLastTrigger + kW;
+  ASSERT_EQ(records.size(), last - first + 1);
+  std::uint32_t kept_violations = 0;
   for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].slot, 11 + i);
+    EXPECT_EQ(records[i].slot, first + i);
     EXPECT_EQ(records[i].trigger_mask, kTraceTriggerViolationBurst);
+    if (records[i].violated) ++kept_violations;
   }
-  // The isolated violations (slot 2, and slot 10 just outside the window)
-  // were NOT kept at full resolution but are counted in the day summary.
+  EXPECT_EQ(kept_violations, 3u);
+  // The isolated violation and the pair were NOT kept at full resolution
+  // but are counted in the day summary.
   ASSERT_EQ(days.size(), 1u);
-  EXPECT_EQ(days[0].violations, 2u);
+  EXPECT_EQ(days[0].violations, 3u);
+  EXPECT_EQ(days[0].slots + records.size(), events.size());
+}
+
+TEST(TracePolicy, OutageEdgesKeepAWindowAndAreNotDivergence) {
+  // Dark from slot 20 through 29: both edges trigger.  The dark slots'
+  // zeroed predictions against a lit actual are outage artifacts and must
+  // not raise the divergence trigger.
+  std::vector<TraceEvent> events;
+  for (std::uint32_t g = 0; g < 60; ++g) {
+    const bool dark = g >= 20 && g < 30;
+    TraceEvent e = SlotEvent(g, 0.5, dark ? 0.0 : 1.0, 1.0);
+    e.outage = dark;
+    events.push_back(e);
+  }
+  std::vector<TraceRecord> records;
+  std::vector<TraceDayRecord> days;
+  ApplyTracePolicy(events, 60, records, days);
+
+  const std::uint32_t first = 20 - kW;
+  const std::uint32_t last = 30 + kW;
+  ASSERT_EQ(records.size(), last - first + 1);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].slot, first + i);
+    EXPECT_EQ(records[i].trigger_mask, kTraceTriggerOutage);
+  }
+  ASSERT_EQ(days.size(), 1u);
   EXPECT_EQ(days[0].slots + records.size(), events.size());
 }
 
 TEST(TracePolicy, DaySummaryAggregatesExactly) {
-  TracePolicyConfig config;  // defaults: nothing triggers in calm data.
+  // Nothing triggers in calm data.
   std::vector<TraceEvent> events;
   events.push_back(SlotEvent(0, 0.9, 1.0, 1.2, false, 0.2));
   events.push_back(SlotEvent(1, 0.8, 1.0, 1.5, true, 0.4));
   events.push_back(SlotEvent(2, 0.7, 1.0, 1.0, false, 0.6));
   std::vector<TraceRecord> records;
   std::vector<TraceDayRecord> days;
-  ApplyTracePolicy(events, 48, config, records, days);
+  ApplyTracePolicy(events, 48, records, days);
   EXPECT_TRUE(records.empty());
   ASSERT_EQ(days.size(), 1u);
   EXPECT_EQ(days[0].node, 11u);
