@@ -103,15 +103,9 @@ VmProgram::VmProgram(std::vector<Instr> code) : code_(std::move(code)) {
 }
 
 const char* VmTrapName(VmTrap trap) {
-  switch (trap) {
-    case VmTrap::kNone:
-      return "none";
-    case VmTrap::kDivisionByZero:
-      return "division by zero";
-    case VmTrap::kStepLimit:
-      return "step limit";
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {"none", "division by zero",
+                                           "step limit"};
+  return kNames[static_cast<std::size_t>(trap)];
 }
 
 MicroVm::MicroVm(std::size_t memory_words, const CycleCosts& costs)

@@ -28,11 +28,9 @@
 
 namespace shep {
 
-/// MicroVm opcodes: what the compiled WCMA routine (and the interpreter's
-/// own tests and bench) emit.  Three-address form: fields a, b, c are
-/// register indices or memory addresses depending on the opcode.  Every
-/// address is a static field, so validating a program covers all of its
-/// memory accesses.
+/// MicroVm opcodes.  Three-address form: fields a, b, c are register
+/// indices or memory addresses depending on the opcode.  Every address is
+/// static, so validating a program covers all of its memory accesses.
 enum class Op : std::uint8_t {
   kLoadImm,  ///< r[a] = imm
   kLoad,     ///< r[a] = mem[b]
@@ -59,14 +57,12 @@ struct Instr {
 /// Human-readable rendering for validation errors and test messages.
 std::string ToString(const Instr& instr);
 
-/// A MicroVm program, checked once when it is built: every register index
-/// is in [0, MicroVm::kRegisters), every address is non-negative, every
-/// jump target lies inside the program, and the program is non-empty and
-/// ends in kHalt or kJmp so execution cannot run off its end.  MicroVm::Run
-/// relies on these facts instead of re-checking them per instruction.
+/// A MicroVm program, checked once when it is built: register indices in
+/// [0, MicroVm::kRegisters), addresses non-negative, jump targets inside
+/// the program, and a non-empty body ending in kHalt or kJmp so execution
+/// cannot run off its end.  Throws std::invalid_argument otherwise.
 class VmProgram {
  public:
-  /// Throws std::invalid_argument naming the first malformed instruction.
   explicit VmProgram(std::vector<Instr> code);
 
   const std::vector<Instr>& code() const { return code_; }
@@ -79,15 +75,11 @@ class VmProgram {
   std::size_t memory_words_ = 0;
 };
 
-/// Why a run stopped early.  These are the only run-time traps: everything
-/// else a program could get wrong is rejected when the VmProgram is built.
-enum class VmTrap : std::uint8_t {
-  kNone,
-  kDivisionByZero,
-  kStepLimit,
-};
+/// Why a run stopped early: the only run-time traps, since everything else
+/// a program could get wrong is rejected when its VmProgram is built.
+enum class VmTrap : std::uint8_t { kNone, kDivisionByZero, kStepLimit };
 
-/// Stable lowercase name of a trap, for messages.
+/// Lowercase name of a trap, for messages.
 const char* VmTrapName(VmTrap trap);
 
 /// Outcome of a program run.
@@ -112,7 +104,6 @@ class MicroVm {
 
   void Poke(std::size_t address, double value);
   double Peek(std::size_t address) const;
-  std::size_t memory_size() const { return memory_.size(); }
 
   /// Executes `program` from pc=0 until kHalt, a trap, or `max_steps`.
   /// Registers are zeroed at entry.  Memory persists across runs.  Throws

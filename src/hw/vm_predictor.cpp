@@ -8,17 +8,6 @@
 
 namespace shep {
 
-namespace {
-
-WcmaProgramLayout FullLayout(const WcmaParams& params) {
-  WcmaProgramLayout layout;
-  layout.slots_k = params.slots_k;
-  layout.alpha = params.alpha;
-  return layout;
-}
-
-}  // namespace
-
 VmWcmaPredictor::VmWcmaPredictor(const WcmaParams& params, int slots_per_day,
                                  const CycleCosts& costs)
     : params_(params.ValidFor(slots_per_day)),
@@ -26,14 +15,12 @@ VmWcmaPredictor::VmWcmaPredictor(const WcmaParams& params, int slots_per_day,
       state_(static_cast<std::size_t>(params_.days),
              static_cast<std::size_t>(slots_per_day),
              static_cast<std::size_t>(params_.slots_k)),
-      vm_(FullLayout(params).memory_words(), costs) {
+      vm_(WcmaProgramLayout{params_.slots_k, params_.alpha}.memory_words(),
+          costs) {
   costs_.Validate();
   programs_.reserve(static_cast<std::size_t>(params_.slots_k));
   for (int k = 1; k <= params_.slots_k; ++k) {
-    WcmaProgramLayout layout;
-    layout.slots_k = k;
-    layout.alpha = params_.alpha;
-    programs_.push_back(BuildWcmaPredictProgram(layout));
+    programs_.push_back(BuildWcmaPredictProgram({k, params_.alpha}));
   }
 }
 
@@ -58,9 +45,7 @@ double VmWcmaPredictor::PredictNext() const {
   const FixedRing<WcmaRecentSlot>& recent = state_.recent();
   const std::size_t k_avail = recent.size();
   SHEP_DCHECK(k_avail >= 1, "recent window empty despite a sample");
-  WcmaProgramLayout layout;
-  layout.slots_k = static_cast<int>(k_avail);
-  layout.alpha = params_.alpha;
+  const WcmaProgramLayout layout{static_cast<int>(k_avail), params_.alpha};
 
   vm_.Poke(WcmaProgramLayout::kAddrSample, state_.history().last_sample());
   vm_.Poke(WcmaProgramLayout::kAddrMuNext, state_.MuNext());
