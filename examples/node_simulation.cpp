@@ -11,7 +11,7 @@
 #include "core/baselines.hpp"
 #include "core/ewma.hpp"
 #include "core/wcma.hpp"
-#include "mgmt/node_sim.hpp"
+#include "mgmt/node_sim_kernel.hpp"
 #include "report/table.hpp"
 #include "solar/synth.hpp"
 
@@ -50,16 +50,18 @@ int main() {
                      std::to_string(options.days) + " days, N=48)");
   table.Columns({"Predictor", "brown-out rate", "wasted harvest",
                  "mean duty", "duty stddev", "min store level"});
-  for (Predictor* p : {static_cast<Predictor*>(&wcma),
-                       static_cast<Predictor*>(&ewma),
-                       static_cast<Predictor*>(&persistence),
-                       static_cast<Predictor*>(&previous_day)}) {
-    const auto r = SimulateNode(*p, series, config);
-    table.AddRow({p->Name(), FormatPercent(r.violation_rate),
+  // The kernel is instantiated on each concrete predictor type.
+  const auto simulate = [&](auto& p) {
+    const auto r = SimulateNodeKernel(p, series, config);
+    table.AddRow({p.Name(), FormatPercent(r.violation_rate),
                   FormatPercent(r.overflow_j / r.harvested_j),
                   FormatPercent(r.mean_duty), FormatFixed(r.duty_stddev, 3),
                   FormatPercent(r.min_level_fraction)});
-  }
+  };
+  simulate(wcma);
+  simulate(ewma);
+  simulate(persistence);
+  simulate(previous_day);
   std::cout << table.ToString();
   std::cout << "\nReading: brown-outs (store empty while committed) and\n"
                "wasted harvest (store full, panel energy discarded) are the\n"

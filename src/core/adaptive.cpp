@@ -106,7 +106,6 @@ double AdaptiveWcma::PredictNext() const {
   return std::max(0.0, candidate_pred_[selected_]);
 }
 
-bool AdaptiveWcma::Ready() const { return state_.history().full(); }
 
 void AdaptiveWcma::Reset() {
   state_.Clear();

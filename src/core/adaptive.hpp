@@ -61,7 +61,6 @@ class AdaptiveWcma final : public Predictor {
 
   void Observe(double boundary_sample) override;
   double PredictNext() const override;
-  bool Ready() const override;
   void Reset() override;
   std::string Name() const override;
 

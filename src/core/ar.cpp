@@ -118,10 +118,6 @@ double ArPredictor::PredictNext() const {
   return mu_next * ratio_hat;
 }
 
-bool ArPredictor::Ready() const {
-  return history_.full() &&
-         updates_ >= static_cast<std::uint64_t>(10 * params_.order);
-}
 
 void ArPredictor::Reset() {
   history_.Clear();

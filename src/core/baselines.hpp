@@ -25,7 +25,6 @@ class Persistence final : public Predictor {
 
   void Observe(double boundary_sample) override;
   double PredictNext() const override;
-  bool Ready() const override { return has_sample_; }
   void Reset() override;
   std::string Name() const override { return "Persistence"; }
 
@@ -42,7 +41,6 @@ class SlotMovingAverage final : public Predictor {
 
   void Observe(double boundary_sample) override;
   double PredictNext() const override;
-  bool Ready() const override { return history_.full(); }
   void Reset() override;
   std::string Name() const override;
 
@@ -57,7 +55,6 @@ class PreviousDay final : public Predictor {
 
   void Observe(double boundary_sample) override;
   double PredictNext() const override;
-  bool Ready() const override { return history_.stored_days() >= 1; }
   void Reset() override;
   std::string Name() const override { return "PreviousDay"; }
 

@@ -36,10 +36,6 @@ double Ewma::PredictNext() const {
   return slot_ewma_[next_slot_];
 }
 
-bool Ewma::Ready() const {
-  return std::all_of(seeded_.begin(), seeded_.end(),
-                     [](bool b) { return b; });
-}
 
 void Ewma::Reset() {
   std::fill(slot_ewma_.begin(), slot_ewma_.end(), 0.0);

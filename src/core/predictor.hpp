@@ -11,10 +11,17 @@
 // Observe(e(g)), PredictNext() returns ê(g+1).  That prediction is scored
 // against the point sample e(g+1) (MAPE′, Eq. 6) or against the mean power
 // e̅(g) of the interval it budgets (MAPE, Eq. 7) — see metrics/error.hpp.
+//
+// Every predictor class is `final`.  The node simulation
+// (mgmt/node_sim_kernel.hpp) only runs on a concrete predictor type, so
+// the per-slot calls are devirtualized; the virtual interface serves
+// RunPredictor/ScorePredictor and the report code, which see a
+// Predictor&.  A backend that models MCU cost (the src/hw builds) also
+// has a plain `PredictorComputeCost ComputeCost() const` member, which
+// the kernel detects at compile time.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,13 +40,9 @@ class Predictor {
   virtual void Observe(double boundary_sample) = 0;
 
   /// Predicted power at the next slot boundary, ê(n+1).  Valid after the
-  /// first Observe(); before the predictor is Ready() implementations fall
-  /// back to persistence (return the last observed sample).
+  /// first Observe(); while a predictor lacks the history its model needs
+  /// it falls back to persistence (returns the last observed sample).
   virtual double PredictNext() const = 0;
-
-  /// True once the predictor has accumulated enough history to run its
-  /// full model (e.g. a filled D-day matrix for WCMA).
-  virtual bool Ready() const = 0;
 
   /// Resets to the just-constructed state.
   virtual void Reset() = 0;
@@ -49,7 +52,8 @@ class Predictor {
 };
 
 /// Cumulative modelled MCU compute cost of a predictor's prediction work
-/// since construction or the last Reset().
+/// since construction or the last Reset(), as a cost-modelling backend's
+/// ComputeCost() member reports it.
 struct PredictorComputeCost {
   double cycles = 0.0;            ///< modelled MCU cycles, summed.
   std::uint64_t ops = 0;          ///< dynamic operations behind those cycles.
@@ -63,20 +67,6 @@ struct PredictorComputeCost {
                ? static_cast<double>(ops) / static_cast<double>(predictions)
                : 0.0;
   }
-};
-
-/// Optional side-interface of a Predictor: backends that model deployment
-/// cost (the Q16.16 fixed-point build, the MicroVm-executed routine — see
-/// src/hw) implement it alongside Predictor; the float reference
-/// predictors do not.  mgmt/node_sim discovers it via dynamic_cast and
-/// threads the totals into NodeSimResult, which is how fleet summaries
-/// grow MCU-cost columns without mgmt depending on the hw layer.
-class ComputeCostReporter {
- public:
-  virtual ~ComputeCostReporter() = default;
-
-  /// Totals since construction or the last Reset().
-  virtual PredictorComputeCost ComputeCost() const = 0;
 };
 
 /// Runs `predictor` over every slot of `series` and collects one scored

@@ -39,7 +39,7 @@ void WcmaState::Clear() {
   recent_.clear();
 }
 
-double WcmaState::Phi(std::size_t k, WcmaWeighting weighting) const {
+double WcmaState::Phi(std::size_t k) const {
   SHEP_DCHECK(k <= recent_.size(), "phi window exceeds the stored slots");
   if (k == 0) return 1.0;
   const std::size_t first = recent_.size() - k;
@@ -48,10 +48,7 @@ double WcmaState::Phi(std::size_t k, WcmaWeighting weighting) const {
   for (std::size_t i = 0; i < k; ++i) {
     // i = 0 is the oldest slot in the window; the paper's index runs 1..K
     // with θ(K) = 1 at the most recent slot, θ(k) = k/K.
-    const double theta =
-        weighting == WcmaWeighting::kRamp
-            ? static_cast<double>(i + 1) / static_cast<double>(k)
-            : 1.0;
+    const double theta = static_cast<double>(i + 1) / static_cast<double>(k);
     const WcmaRecentSlot& r = recent_[first + i];
     const double eta = r.mu > kNightEpsilonW ? r.sample / r.mu : 1.0;
     num += theta * eta;
@@ -60,21 +57,17 @@ double WcmaState::Phi(std::size_t k, WcmaWeighting weighting) const {
   return num / den;
 }
 
-double WcmaState::Predict(double alpha, WcmaWeighting weighting) const {
+double WcmaState::Predict(double alpha) const {
   const double last = history_.last_sample();
   const double conditioned =
-      history_.stored_days() == 0
-          ? last
-          : MuNext() * Phi(recent_.size(), weighting);
+      history_.stored_days() == 0 ? last : MuNext() * Phi(recent_.size());
   return alpha * last + (1.0 - alpha) * conditioned;
 }
 
 // ----------------------------------------------------------------------- Wcma
 
-Wcma::Wcma(const WcmaParams& params, int slots_per_day,
-           WcmaWeighting weighting)
+Wcma::Wcma(const WcmaParams& params, int slots_per_day)
     : params_(params.ValidFor(slots_per_day)),
-      weighting_(weighting),
       state_(static_cast<std::size_t>(params_.days),
              static_cast<std::size_t>(slots_per_day),
              static_cast<std::size_t>(params_.slots_k)) {}
@@ -85,24 +78,22 @@ void Wcma::Observe(double boundary_sample) {
 }
 
 double Wcma::CurrentPhi() const {
-  return state_.Phi(state_.recent().size(), weighting_);
+  return state_.Phi(state_.recent().size());
 }
 
 double Wcma::PredictNext() const {
   SHEP_REQUIRE(state_.history().has_sample(),
                "PredictNext before any Observe");
-  return state_.Predict(params_.alpha, weighting_);
+  return state_.Predict(params_.alpha);
 }
 
-bool Wcma::Ready() const { return state_.history().full(); }
 
 void Wcma::Reset() { state_.Clear(); }
 
 std::string Wcma::Name() const {
   std::ostringstream os;
   os << "WCMA(a=" << params_.alpha << ",D=" << params_.days
-     << ",K=" << params_.slots_k
-     << (weighting_ == WcmaWeighting::kUniform ? ",uniform" : "") << ")";
+     << ",K=" << params_.slots_k << ")";
   return os.str();
 }
 

@@ -24,6 +24,10 @@
 //   * Before the history matrix holds any day, the conditioned-average term
 //     falls back to the current sample (pure persistence).
 //   * Fewer than K slots observed so far: Φ uses the available ones.
+//
+// The streaming classes here use only the paper's ramp θ(k) = k/K.  The
+// uniform θ(k) = 1 of ablation A is a sweep-evaluator option
+// (sweep/evaluator.hpp, WcmaWeighting), not a predictor option.
 #pragma once
 
 #include <cstddef>
@@ -48,13 +52,6 @@ struct WcmaParams {
   /// K < N).  Returns *this so a constructor can run it in its
   /// member-initializer list, before sizing storage from the parameters.
   const WcmaParams& ValidFor(int slots_per_day) const;
-};
-
-/// Conditioning-weight profiles.  The paper uses the ramp θ(k)=k/K (Eq. 5);
-/// the uniform variant exists for ablation A of bench/repro_ablation.cpp.
-enum class WcmaWeighting {
-  kRamp,     ///< θ(k) = k/K (paper).
-  kUniform,  ///< θ(k) = 1.
 };
 
 /// One elapsed slot as Φ sees it: the measured sample and the historical
@@ -88,15 +85,13 @@ class WcmaState {
   double MuNext() const { return history_.Mu(history_.next_slot()); }
 
   /// Φ_K (Eqs. 3–5) over the newest k <= recent().size() entries: the
-  /// θ-weighted mean of η = sample/μ, with θ ramping to 1 at the newest
-  /// entry, and η = 1 at night (μ ≈ 0).  1 when k == 0.
-  double Phi(std::size_t k,
-             WcmaWeighting weighting = WcmaWeighting::kRamp) const;
+  /// θ-weighted mean of η = sample/μ, with the ramp θ = 1/k .. k/k rising
+  /// to 1 at the newest entry, and η = 1 at night (μ ≈ 0).  1 when k == 0.
+  double Phi(std::size_t k) const;
 
   /// Eq. 1 with Φ over the whole window.  Before any day is stored the
   /// conditioned term degenerates to the last sample (persistence).
-  double Predict(double alpha,
-                 WcmaWeighting weighting = WcmaWeighting::kRamp) const;
+  double Predict(double alpha) const;
 
  private:
   HistoryMatrix history_;
@@ -108,12 +103,10 @@ class Wcma final : public Predictor {
  public:
   /// \param slots_per_day  N of the deployment (must match the series the
   ///                       predictor is run against).
-  Wcma(const WcmaParams& params, int slots_per_day,
-       WcmaWeighting weighting = WcmaWeighting::kRamp);
+  Wcma(const WcmaParams& params, int slots_per_day);
 
   void Observe(double boundary_sample) override;
   double PredictNext() const override;
-  bool Ready() const override;
   void Reset() override;
   std::string Name() const override;
 
@@ -125,7 +118,6 @@ class Wcma final : public Predictor {
 
  private:
   WcmaParams params_;
-  WcmaWeighting weighting_;
   WcmaState state_;
 };
 

@@ -159,9 +159,6 @@ double FixedWcma::PredictNext() const {
   return result.ToDouble() / kInputScale;
 }
 
-bool FixedWcma::Ready() const {
-  return stored_days_ == static_cast<std::size_t>(params_.days);
-}
 
 void FixedWcma::Reset() {
   const auto n = static_cast<std::size_t>(slots_per_day_);

@@ -113,10 +113,9 @@ FleetPartial RunFleetShards(const ShardPlan& plan,
 /// Simulates one node of a cell: VisitPredictor (fleet/visit_predictor.hpp)
 /// builds `spec`'s concrete predictor on the stack and runs it over
 /// `series` through the kernel instantiated on that type
-/// (mgmt/node_sim_kernel.hpp) — for every kind: no per-slot virtual calls,
-/// no per-run dynamic_cast, no heap allocation for the predictor.
-/// Bit-identical to PredictorSpec::Make + the virtual SimulateNode (pinned
-/// by tests/test_node_kernel.cpp).
+/// (mgmt/node_sim_kernel.hpp) — for every kind: no per-slot virtual calls
+/// and no heap allocation for the predictor.  Every kind's result is
+/// pinned by the all-kinds checksums of tests/test_fleet_golden.cpp.
 NodeSimResult SimulateSpecNode(const PredictorSpec& spec, int slots_per_day,
                                const SlotSeries& series,
                                const NodeSimConfig& config);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <type_traits>
-#include <utility>
 
 #include "common/check.hpp"
 #include "common/serdes.hpp"
@@ -41,14 +39,6 @@ PredictorKind PredictorKindFromName(const std::string& name) {
   }
   SHEP_REQUIRE(false, "unknown predictor kind name: " + name);
   throw std::logic_error("unreachable");
-}
-
-std::unique_ptr<Predictor> PredictorSpec::Make(int slots_per_day) const {
-  return VisitPredictor(
-      *this, slots_per_day, [](auto& p) -> std::unique_ptr<Predictor> {
-        return std::make_unique<std::remove_reference_t<decltype(p)>>(
-            std::move(p));
-      });
 }
 
 void PredictorSpec::Validate(int slots_per_day) const {

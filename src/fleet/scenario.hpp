@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,7 +36,7 @@ namespace shep {
 /// same algorithm on three arithmetic backends: double-precision reference
 /// (kWcma), the Q16.16 fixed-point MCU build (kWcmaFixed), and the routine
 /// executed instruction-by-instruction on the cycle-counted MicroVm
-/// (kWcmaVm).  The two MCU backends implement ComputeCostReporter, so their
+/// (kWcmaVm).  The two MCU backends have a ComputeCost() member, so their
 /// cells additionally report per-wake-up cycle/op cost in fleet summaries.
 enum class PredictorKind {
   kWcma,
@@ -61,13 +60,10 @@ struct PredictorSpec {
   ArParams ar;                    ///< kAr.
   AdaptiveWcmaParams adaptive;    ///< kAdaptiveWcma.
 
-  /// Instantiates a fresh predictor for a deployment with N slots per day.
-  std::unique_ptr<Predictor> Make(int slots_per_day) const;
-
-  /// Constructs the predictor and discards it: the constructor checks
-  /// Make() would hit run here, so a malformed design is caught by
-  /// ScenarioSpec::Validate up front instead of on a pool worker (where
-  /// the throw would std::terminate).
+  /// Constructs the predictor (through VisitPredictor) and discards it:
+  /// the constructor checks a run would hit run here, so a malformed
+  /// design is caught by ScenarioSpec::Validate up front instead of on a
+  /// pool worker (where the throw would std::terminate).
   void Validate(int slots_per_day) const;
 
   /// Cell label for reports: the kind name.  When a scenario lists the same

@@ -2,11 +2,10 @@
 //
 // VisitPredictor builds the concrete predictor a PredictorSpec describes on
 // the caller's stack and hands it to a generic callable, so every consumer
-// sees the `final` class rather than a Predictor&.  The fleet's three
-// consumers are all thin callers of it:
+// sees the `final` class rather than a Predictor&.  The fleet's two
+// consumers are thin callers of it:
 //  * SimulateSpecNode (fleet/runner.cpp) instantiates the slot kernel on
 //    each concrete type — static dispatch for every kind;
-//  * PredictorSpec::Make moves the visited predictor onto the heap;
 //  * PredictorSpec::Validate constructs it and discards it, so the
 //    constructors' own checks are the validation.
 #pragma once

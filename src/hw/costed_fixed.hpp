@@ -4,17 +4,18 @@
 // nothing about what an operation COSTS — the MSP430-flavoured cycle prices
 // live here in hw (mcu_spec).  CostedFixedWcma composes the two: it
 // forwards the Predictor contract to an inner FixedWcma unchanged (the
-// prediction values are bit-identical to a bare FixedWcma) and implements
-// ComputeCostReporter by mapping the predict-phase op counts through
-// CycleCosts.  Only the predict phase is priced: that is the quantity the
+// prediction values are bit-identical to a bare FixedWcma) and its
+// ComputeCost() member maps the predict-phase op counts through
+// CycleCosts; the node-simulation kernel finds that member at compile
+// time.  Only the predict phase is priced: that is the quantity the
 // paper's Table IV reports and the one closest to VmWcmaPredictor, whose
 // VM executes exactly the prediction routine.  The two figures are not
 // identical by construction — the fixed build's predict phase includes the
 // μ_D(n+1) lookup division, while the VM routine receives μ_D as an input
 // word (its host computes the average) — so fixed reads roughly one
 // software division higher per wake-up.  Day-rollover matrix maintenance
-// is outside both figures; the full wake-up split stays available via
-// inner().observe_ops().
+// is outside both figures; a bare FixedWcma still reports the full
+// wake-up split (observe_ops()/predict_ops()).
 #pragma once
 
 #include <string>
@@ -27,22 +28,18 @@
 namespace shep {
 
 /// FixedWcma with its dynamic op counts priced as MCU cycles.
-class CostedFixedWcma final : public Predictor, public ComputeCostReporter {
+class CostedFixedWcma final : public Predictor {
  public:
   CostedFixedWcma(const WcmaParams& params, int slots_per_day,
                   const CycleCosts& costs = {});
 
   void Observe(double boundary_sample) override { inner_.Observe(boundary_sample); }
   double PredictNext() const override { return inner_.PredictNext(); }
-  bool Ready() const override { return inner_.Ready(); }
   void Reset() override { inner_.Reset(); }
   std::string Name() const override { return inner_.Name(); }
 
   /// Predict-phase totals since Reset(), priced through the cycle table.
-  PredictorComputeCost ComputeCost() const override;
-
-  /// The wrapped predictor, for the full per-phase op breakdown.
-  const FixedWcma& inner() const { return inner_; }
+  PredictorComputeCost ComputeCost() const;
 
  private:
   FixedWcma inner_;

@@ -32,13 +32,12 @@ void VmWcmaPredictor::Observe(double boundary_sample) {
 double VmWcmaPredictor::PredictNext() const {
   SHEP_REQUIRE(state_.history().has_sample(),
                "PredictNext before any Observe");
-  ++predict_calls_;
+  ++cost_.predictions;
 
   if (state_.history().stored_days() == 0) {
     // Boot transient: no μ_D exists yet.  Runs on the host (zero cycles
     // charged) through core/Wcma's own fallback, so the two backends stay
     // bit-comparable.
-    last_cycles_ = 0.0;
     return state_.Predict(params_.alpha);
   }
 
@@ -58,22 +57,15 @@ double VmWcmaPredictor::PredictNext() const {
   const VmResult run = vm_.Run(programs_[k_avail - 1]);
   SHEP_CHECK(run.ok(), std::string("WCMA VM routine trapped: ") +
                            VmTrapName(run.trap));
-  ++vm_runs_;
-  last_cycles_ = run.cycles;
-  total_cycles_ += run.cycles;
-  total_ops_ += run.ops;
+  cost_.cycles += run.cycles;
+  cost_.ops += run.ops.total();
   return vm_.Peek(WcmaProgramLayout::kAddrOutput);
 }
 
-bool VmWcmaPredictor::Ready() const { return state_.history().full(); }
 
 void VmWcmaPredictor::Reset() {
   state_.Clear();
-  total_cycles_ = 0.0;
-  last_cycles_ = 0.0;
-  total_ops_ = OpCounts{};
-  predict_calls_ = 0;
-  vm_runs_ = 0;
+  cost_ = PredictorComputeCost{};
 }
 
 std::string VmWcmaPredictor::Name() const {
@@ -81,14 +73,6 @@ std::string VmWcmaPredictor::Name() const {
   os << "VmWCMA(a=" << params_.alpha << ",D=" << params_.days
      << ",K=" << params_.slots_k << ")";
   return os.str();
-}
-
-PredictorComputeCost VmWcmaPredictor::ComputeCost() const {
-  PredictorComputeCost cost;
-  cost.cycles = total_cycles_;
-  cost.ops = total_ops_.total();
-  cost.predictions = predict_calls_;
-  return cost;
 }
 
 }  // namespace shep

@@ -25,13 +25,11 @@
 // not the boot transient.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/predictor.hpp"
 #include "core/wcma.hpp"
-#include "core/wcma_fixed.hpp"
 #include "hw/mcu_spec.hpp"
 #include "hw/vm.hpp"
 
@@ -39,31 +37,19 @@ namespace shep {
 
 /// WCMA whose prediction arithmetic runs on the MicroVm, with per-call
 /// cycle/op accounting.
-class VmWcmaPredictor final : public Predictor, public ComputeCostReporter {
+class VmWcmaPredictor final : public Predictor {
  public:
   VmWcmaPredictor(const WcmaParams& params, int slots_per_day,
                   const CycleCosts& costs = {});
 
   void Observe(double boundary_sample) override;
   double PredictNext() const override;
-  bool Ready() const override;
   void Reset() override;
   std::string Name() const override;
 
-  /// Cycle/op totals of every VM-executed prediction since Reset().
-  PredictorComputeCost ComputeCost() const override;
-
-  /// Cycles of the most recent PredictNext() (0 for the warm-up fallback).
-  double last_cycles() const { return last_cycles_; }
-
-  /// Dynamic op mix summed over all VM runs since Reset().
-  const OpCounts& total_ops() const { return total_ops_; }
-
-  std::uint64_t predict_calls() const { return predict_calls_; }
-  /// PredictNext() calls that actually executed the routine on the VM.
-  std::uint64_t vm_runs() const { return vm_runs_; }
-
-  const WcmaParams& params() const { return params_; }
+  /// Cycle/op totals of every VM-executed prediction since Reset(); the
+  /// prediction count includes the warm-up fallbacks, which cost nothing.
+  PredictorComputeCost ComputeCost() const { return cost_; }
 
  private:
   WcmaParams params_;
@@ -78,11 +64,7 @@ class VmWcmaPredictor final : public Predictor, public ComputeCostReporter {
   /// const but must poke inputs and run the machine.
   mutable MicroVm vm_;
 
-  mutable double total_cycles_ = 0.0;
-  mutable double last_cycles_ = 0.0;
-  mutable OpCounts total_ops_;
-  mutable std::uint64_t predict_calls_ = 0;
-  mutable std::uint64_t vm_runs_ = 0;
+  mutable PredictorComputeCost cost_;
 };
 
 }  // namespace shep

@@ -9,6 +9,10 @@
 // store.  This module exists to demonstrate the paper's premise that
 // "effectiveness of harvested-energy management is sensitive to accuracy
 // of prediction algorithm" — see examples/node_simulation.cpp.
+//
+// This header holds the run's configuration and result; the simulation
+// itself is SimulateNodeKernel (mgmt/node_sim_kernel.hpp), instantiated on
+// a concrete predictor type.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +20,6 @@
 #include "core/predictor.hpp"
 #include "mgmt/duty_cycle.hpp"
 #include "mgmt/storage.hpp"
-#include "timeseries/slotting.hpp"
 
 namespace shep {
 
@@ -49,8 +52,8 @@ struct NodeSimResult {
   /// Modelled MCU compute cost of the predictor over the WHOLE run
   /// (warm-up included; the predictor is Reset() at entry, so its
   /// cumulative counters cover exactly this simulation).  Populated only
-  /// when the predictor implements ComputeCostReporter (the fixed-point and
-  /// VM backends of src/hw); float predictors leave has_compute_cost false
+  /// when the predictor has a ComputeCost() member (the fixed-point and VM
+  /// backends of src/hw); float predictors leave has_compute_cost false
   /// and downstream aggregation reports their cost as "n/a", not zero.
   bool has_compute_cost = false;
   PredictorComputeCost compute;     ///< cycle/op/prediction totals.
@@ -67,16 +70,5 @@ struct NodeSimResult {
   std::size_t post_recovery_slots = 0;
   std::size_t post_recovery_violations = 0;
 };
-
-/// Runs `predictor` over `series` through the controller and store.
-/// The predictor is Reset() first.
-///
-/// This is the virtual-dispatch entry point, for sweeps, examples and any
-/// predictor known only as a Predictor&.  The slot loop itself lives in
-/// mgmt/node_sim_kernel.hpp as a template; the fleet runner instantiates
-/// it on the concrete type of every PredictorKind instead (static
-/// dispatch, bit-identical results).
-NodeSimResult SimulateNode(Predictor& predictor, const SlotSeries& series,
-                           const NodeSimConfig& config);
 
 }  // namespace shep

@@ -1,24 +1,23 @@
-// node_sim_kernel.hpp — the SimulateNode slot loop as a static-dispatch
-// template.
+// node_sim_kernel.hpp — the node simulation's slot loop, instantiated on
+// a concrete predictor type.
 //
 // The fleet hot path runs this loop once per node, thousands of nodes per
-// shard, with two per-slot virtual calls (Observe, PredictNext) and one
-// per-run dynamic_cast (the ComputeCostReporter probe).  Instantiating the
-// kernel on the CONCRETE predictor type — every predictor class is
-// `final` — lets the compiler devirtualize and inline the predictor into
-// the loop and resolve the cost probe at compile time.  The classic
-// virtual entry point, SimulateNode(Predictor&, ...), is this same kernel
-// instantiated at P = Predictor: one definition of the simulation
-// semantics, two dispatch strategies, bit-identical results (pinned by
-// tests/test_node_kernel.cpp and the fleet golden suite).
+// shard.  SimulateNodeKernel is the only way to simulate a predictor: it
+// is instantiated on the CONCRETE predictor type — every predictor class
+// is `final`, which a static_assert enforces — so the compiler
+// devirtualizes and inlines Observe/PredictNext into the loop, and the
+// cost channel is resolved at compile time: a predictor with a
+// `ComputeCost()` member (the src/hw backends) reports its totals, any
+// other reports none.  mgmt does not depend on hw for this; the check is
+// a requires-expression on P.
 //
 // The loop allocates nothing: every predictor sizes its state at
 // construction and its Reset() reuses that storage, which
 // tests/test_kernel_alloc.cpp checks for every kind, probed and faulted.
 //
 // fleet/runner.cpp instantiates the kernel on every PredictorKind's
-// concrete type through VisitPredictor (fleet/visit_predictor.hpp);
-// sweep/ and the examples keep calling the virtual entry point.
+// concrete type through VisitPredictor (fleet/visit_predictor.hpp); tests
+// and examples call it directly on a stack-constructed predictor.
 #pragma once
 
 #include <algorithm>
@@ -33,6 +32,7 @@
 #include "mgmt/duty_cycle.hpp"
 #include "mgmt/node_sim.hpp"
 #include "mgmt/storage.hpp"
+#include "timeseries/slotting.hpp"
 
 namespace shep {
 
@@ -54,8 +54,8 @@ struct NoFaultModel {
 };
 
 /// Runs `predictor` over `series` through the controller and store.  P is
-/// either a concrete final predictor class (static dispatch, the fleet hot
-/// path) or the abstract Predictor (virtual dispatch, the flexible entry).
+/// a concrete `final` predictor class; instantiating on the abstract
+/// Predictor would compile but lose the cost channel, so it is rejected.
 /// The predictor is Reset() first.
 ///
 /// Probe is a per-slot observation hook with a `static constexpr bool
@@ -78,6 +78,8 @@ template <class P, class Probe = NoSlotProbe, class Faults = NoFaultModel>
 NodeSimResult SimulateNodeKernel(  // shep-lint: root(hot-path-alloc)
     P& predictor, const SlotSeries& series, const NodeSimConfig& config,
     const Probe& probe = Probe{}, Faults faults = Faults{}) {
+  static_assert(std::is_final_v<P>,
+                "SimulateNodeKernel needs a concrete final predictor type");
   config.duty.Validate();
   config.storage.Validate();
   SHEP_REQUIRE(config.initial_level_fraction >= 0.0 &&
@@ -244,20 +246,11 @@ NodeSimResult SimulateNodeKernel(  // shep-lint: root(hot-path-alloc)
     }
   }
   // MCU-cost channel: the backends that model deployment cost expose their
-  // cumulative counters through the optional ComputeCostReporter interface;
-  // the Reset() at entry zeroed them, so the totals cover exactly this run.
-  // A concrete P answers the probe at compile time; only the virtual entry
-  // point (P = Predictor) still pays the dynamic_cast, once per run.
-  if constexpr (std::is_base_of_v<ComputeCostReporter, P>) {
+  // cumulative counters through a ComputeCost() member; the Reset() at
+  // entry zeroed them, so the totals cover exactly this run.
+  if constexpr (requires(const P& p) { p.ComputeCost(); }) {
     result.has_compute_cost = true;
-    result.compute =
-        static_cast<const ComputeCostReporter&>(predictor).ComputeCost();
-  } else if constexpr (std::is_same_v<P, Predictor>) {
-    if (const auto* costed =
-            dynamic_cast<const ComputeCostReporter*>(&predictor)) {
-      result.has_compute_cost = true;
-      result.compute = costed->ComputeCost();
-    }
+    result.compute = predictor.ComputeCost();
   }
   return result;
 }

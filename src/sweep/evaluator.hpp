@@ -27,6 +27,14 @@
 
 namespace shep {
 
+/// Conditioning-weight profiles of BuildQ.  The paper uses the ramp
+/// θ(k)=k/K (Eq. 5), as the streaming core/Wcma does; the uniform variant
+/// exists for ablation A of bench/repro_ablation.cpp.
+enum class WcmaWeighting {
+  kRamp,     ///< θ(k) = k/K (paper).
+  kUniform,  ///< θ(k) = 1.
+};
+
 /// Shared precomputation for all sweeps over one (trace, N) pair.
 class SweepContext {
  public:

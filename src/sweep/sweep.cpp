@@ -71,8 +71,7 @@ const SweepPoint* SweepResult::Find(double alpha, int days_d,
 }
 
 SweepResult SweepWcma(const SweepContext& context, const ParamGrid& grid,
-                      const RoiFilter& filter, ThreadPool* pool,
-                      WcmaWeighting weighting) {
+                      const RoiFilter& filter, ThreadPool* pool) {
   grid.Validate();
   SweepResult result;
   result.dataset = context.dataset();
@@ -92,7 +91,7 @@ SweepResult SweepWcma(const SweepContext& context, const ParamGrid& grid,
     const auto d_series = context.BuildD(days_d);
     for (std::size_t i_k = 0; i_k < n_k; ++i_k) {
       const int slots_k = grid.ks[i_k];
-      const auto q = context.BuildQ(d_series, slots_k, weighting);
+      const auto q = context.BuildQ(d_series, slots_k);
       for (std::size_t i_a = 0; i_a < n_a; ++i_a) {
         const double alpha = grid.alphas[i_a];
         const auto score = context.Score(q, alpha, filter);

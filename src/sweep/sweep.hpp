@@ -58,9 +58,9 @@ struct SweepResult {
   const SweepPoint* Find(double alpha, int days_d, int slots_k) const;
 };
 
-/// Runs the full grid on a prepared context.  `pool` may be null (serial).
+/// Runs the full grid on a prepared context, with the paper's ramp θ.
+/// `pool` may be null (serial).
 SweepResult SweepWcma(const SweepContext& context, const ParamGrid& grid,
-                      const RoiFilter& filter = {}, ThreadPool* pool = nullptr,
-                      WcmaWeighting weighting = WcmaWeighting::kRamp);
+                      const RoiFilter& filter = {}, ThreadPool* pool = nullptr);
 
 }  // namespace shep

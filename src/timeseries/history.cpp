@@ -44,14 +44,11 @@ double HistoryMatrix::at_age(std::size_t age, std::size_t slot) const {
   return data_[row * slots_ + slot];
 }
 
-double HistoryMatrix::Mu(std::size_t slot, std::size_t window_days) const {
+double HistoryMatrix::Mu(std::size_t slot) const {
   SHEP_REQUIRE(stored_ > 0, "history is empty");
-  SHEP_REQUIRE(window_days >= 1 && window_days <= capacity_,
-               "window must be within capacity");
-  const std::size_t w = std::min(window_days, stored_);
   double acc = 0.0;
-  for (std::size_t age = 0; age < w; ++age) acc += at_age(age, slot);
-  return acc / static_cast<double>(w);
+  for (std::size_t age = 0; age < stored_; ++age) acc += at_age(age, slot);
+  return acc / static_cast<double>(stored_);
 }
 
 }  // namespace shep

@@ -31,11 +31,6 @@ class HistoryMatrix {
   /// Number of completed days currently stored (saturates at capacity).
   std::size_t stored_days() const { return stored_; }
 
-  /// True once `capacity_days` days have been completed; μ over the full
-  /// window is only meaningful then (the paper starts evaluation at day 21
-  /// so that the matrix is full for D = 20).
-  bool full() const { return stored_ == capacity_; }
-
   /// Records the boundary sample of slot next_slot() of the current day.
   /// The sample that completes a day pushes that day into the matrix,
   /// evicting the oldest day when at capacity, and the cursor wraps to 0.
@@ -63,12 +58,10 @@ class HistoryMatrix {
   double at_age(std::size_t age, std::size_t slot) const;
 
   /// μ_D(slot): average of the slot's samples over the most recent
-  /// min(window_days, stored) days (Eq. 2).  Requires stored_days() > 0 and
-  /// 1 <= window_days <= capacity.
-  double Mu(std::size_t slot, std::size_t window_days) const;
-
-  /// μ over the full capacity window (the common case in the predictor).
-  double Mu(std::size_t slot) const { return Mu(slot, capacity_); }
+  /// min(capacity, stored) days (Eq. 2), so before the matrix fills it
+  /// averages the days stored so far (the paper starts evaluation at day 21
+  /// so that the matrix is full for D = 20).  Requires stored_days() > 0.
+  double Mu(std::size_t slot) const;
 
  private:
   /// Copies the completed current day into the ring; rewinds the cursor.

@@ -32,7 +32,7 @@ struct NodeTraceProbe {
   /// total rides the shard-end marker into the trace file footer.
   std::uint64_t* dropped = nullptr;
   /// Mirrors TraceSinkOptions::block_on_full: wait for the drain instead
-  /// of dropping.  The drain's idle sleep is bounded (drain_idle_micros),
+  /// of dropping.  The drain's idle sleep is bounded (kDrainIdle, 200 µs),
   /// so the spin always resolves.
   bool block_on_full = false;
 

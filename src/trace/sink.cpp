@@ -14,6 +14,11 @@ namespace {
 /// letting one busy ring starve the others.
 constexpr std::size_t kDrainBatch = 1024;
 
+/// How long the drain sleeps when every ring comes up empty.  Probes never
+/// wake it, so a producer that fills a ring within this window drops (or,
+/// with block_on_full, waits) until the drain's next sweep.
+constexpr std::chrono::microseconds kDrainIdle{200};
+
 }  // namespace
 
 TraceSink::TraceSink(TraceSinkOptions options) : options_(std::move(options)) {
@@ -116,8 +121,7 @@ void TraceSink::DrainLoop() {
       flush_cv_.notify_all();
     }
     if (stopping_) return;
-    drain_cv_.wait_for(lock,
-                       std::chrono::microseconds(options_.drain_idle_micros));
+    drain_cv_.wait_for(lock, kDrainIdle);
   }
 }
 

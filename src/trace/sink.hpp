@@ -56,8 +56,6 @@ struct TraceSinkOptions {
   /// drain briefly lagging its producers shows up as measured
   /// backpressure, not missing events.
   bool block_on_full = false;
-  /// How long the drain sleeps when every ring comes up empty.
-  std::uint32_t drain_idle_micros = 200;
 };
 
 /// What one run hands the sink before its shards start: the identity and

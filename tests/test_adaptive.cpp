@@ -73,12 +73,10 @@ TEST(AdaptiveWcma, LifecycleAndDiagnostics) {
   p.days = 2;
   AdaptiveWcma a(p, 24);
   EXPECT_THROW(a.PredictNext(), std::invalid_argument);
-  EXPECT_FALSE(a.Ready());
   const auto series = MakeSeries("PFCI", 4, 24);
   for (std::size_t g = 0; g < series.size(); ++g) {
     a.Observe(series.boundary(g));
   }
-  EXPECT_TRUE(a.Ready());
   EXPECT_LT(a.selected_candidate(), p.candidates());
   EXPECT_GE(a.selected_alpha(), 0.0);
   EXPECT_GE(a.selected_k(), 1);
@@ -86,7 +84,6 @@ TEST(AdaptiveWcma, LifecycleAndDiagnostics) {
   EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::uint64_t{0}),
             series.size());
   a.Reset();
-  EXPECT_FALSE(a.Ready());
   EXPECT_THROW(a.PredictNext(), std::invalid_argument);
   EXPECT_EQ(std::accumulate(a.selection_counts().begin(),
                             a.selection_counts().end(), std::uint64_t{0}),

@@ -40,7 +40,6 @@ TEST(ArParams, Validation) {
 TEST(ArPredictor, LifecycleAndFallbacks) {
   ArPredictor ar(ArParams{}, 48);
   EXPECT_THROW(ar.PredictNext(), std::invalid_argument);
-  EXPECT_FALSE(ar.Ready());
   ar.Observe(0.5);
   // No history yet -> persistence.
   EXPECT_DOUBLE_EQ(ar.PredictNext(), 0.5);
@@ -81,7 +80,6 @@ TEST(ArPredictor, RecoversKnownArProcess) {
   ASSERT_GE(ar.coefficients().size(), 2u);
   EXPECT_NEAR(ar.coefficients()[1], 0.6, 0.1);  // lag-1
   EXPECT_NEAR(ar.coefficients()[0], 0.4, 0.1);  // bias
-  EXPECT_TRUE(ar.Ready());
 }
 
 TEST(ArPredictor, PredictionsFiniteAndNonNegativeOnRealTrace) {

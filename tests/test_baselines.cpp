@@ -21,13 +21,12 @@ TEST(Persistence, PredictsLastObservation) {
 
 TEST(Persistence, LifecycleAndValidation) {
   Persistence p;
-  EXPECT_FALSE(p.Ready());
   EXPECT_THROW(p.PredictNext(), std::invalid_argument);
   EXPECT_THROW(p.Observe(-1.0), std::invalid_argument);
   p.Observe(1.0);
-  EXPECT_TRUE(p.Ready());
+  EXPECT_DOUBLE_EQ(p.PredictNext(), 1.0);
   p.Reset();
-  EXPECT_FALSE(p.Ready());
+  EXPECT_THROW(p.PredictNext(), std::invalid_argument);
 }
 
 TEST(SlotMovingAverage, PredictsColumnMean) {
@@ -50,7 +49,6 @@ TEST(SlotMovingAverage, NameAndReset) {
   SlotMovingAverage sma(7, 4);
   EXPECT_NE(sma.Name().find("7"), std::string::npos);
   for (int i = 0; i < 8; ++i) sma.Observe(1.0);
-  EXPECT_FALSE(sma.Ready());  // needs 7 days
   sma.Reset();
   EXPECT_THROW(sma.PredictNext(), std::invalid_argument);
 }

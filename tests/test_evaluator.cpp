@@ -115,6 +115,45 @@ TEST(SweepContext, DegenerateGridGivesZeroMapeAtAlphaOne) {
   EXPECT_DOUBLE_EQ(score.mean.mape, 0.0);
 }
 
+// Ablation A's uniform θ(k) = 1 runs only here, in BuildQ.  A hand-built
+// N = 4 trace (one sample per slot, so each slot mean is its boundary
+// sample): two days {0, 2, 4, 1}, then a half-bright day {0, 1, 2, 0.5}.
+// After observing day 2's slot 1 with D = 2, K = 2, the window holds
+// η = {1 (night guard), 1/2} and μ_D of slot 2 is 4:
+//   ramp    Φ = (1/2·1 + 1·1/2) / (3/2) = 2/3,  Q = 8/3;
+//   uniform Φ = (1 + 1/2) / 2           = 3/4,  Q = 3.
+// The two windows around it have equal η, so only that slot differs.
+TEST(SweepContext, UniformWeightingBuildsHandComputedQ) {
+  const PowerTrace trace(
+      "hand", {0.0, 2.0, 4.0, 1.0, 0.0, 2.0, 4.0, 1.0, 0.0, 1.0, 2.0, 0.5},
+      21600);
+  const SweepContext ctx(trace, 4);
+  ASSERT_TRUE(ctx.series().grid().degenerate());
+  const auto d = ctx.BuildD(2);
+  const auto ramp = ctx.BuildQ(d, 2, WcmaWeighting::kRamp);
+  const auto uniform = ctx.BuildQ(d, 2, WcmaWeighting::kUniform);
+  ASSERT_EQ(uniform.size(), 11u);
+  EXPECT_NEAR(ramp[9], 4.0 * 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(uniform[9], 4.0 * 0.75, 1e-12);
+  EXPECT_NEAR(uniform[8], 2.0, 1e-12);   // η = {1, 1}: Φ = 1, μ_D = 2.
+  EXPECT_NEAR(uniform[10], 0.5, 1e-12);  // η = {1/2, 1/2}: Φ = 1/2, μ_D = 1.
+
+  // EvaluateConfig threads the weighting through: at α = 0 the prediction
+  // is Q, scored on day 2 against the slot means 1 (slot 1) and 2 (slot 2;
+  // slot 0's mean is 0 and never enters a percentage):
+  //   uniform MAPE = (|1 − 3| / 1 + |2 − 0.5| / 2) / 2 = 1.375.
+  WcmaParams p;
+  p.alpha = 0.0;
+  p.days = 2;
+  p.slots_k = 2;
+  RoiFilter filter;
+  filter.threshold_fraction = 0.0;
+  filter.first_day = 2;
+  const auto score = ctx.EvaluateConfig(p, filter, WcmaWeighting::kUniform);
+  ASSERT_EQ(score.mean.count, 2u);
+  EXPECT_NEAR(score.mean.mape, 1.375, 1e-12);
+}
+
 TEST(SweepContext, ValidatesArguments) {
   const auto trace = MakeTrace("NPCS", 5);
   const SweepContext ctx(trace, 24);

@@ -57,22 +57,25 @@ TEST(Ewma, WeightZeroFreezesFirstDay) {
   EXPECT_DOUBLE_EQ(e.PredictNext(), 2.0);  // still day-1 value
 }
 
-TEST(Ewma, ReadyAfterOneFullDay) {
+TEST(Ewma, WarmUpEndsAfterOneFullDay) {
+  // Persistence until the predicted slot has been seen once: the last slot
+  // of day 0 is still unseen after two samples, slot 0 of day 1 is not.
   Ewma e(0.5, 3);
-  EXPECT_FALSE(e.Ready());
   e.Observe(1.0);
-  e.Observe(1.0);
-  EXPECT_FALSE(e.Ready());
-  e.Observe(1.0);
-  EXPECT_TRUE(e.Ready());
+  e.Observe(2.0);
+  EXPECT_DOUBLE_EQ(e.PredictNext(), 2.0);  // slot 2 unseen: persistence
+  e.Observe(3.0);
+  EXPECT_DOUBLE_EQ(e.PredictNext(), 1.0);  // slot 0's average, not 3.0
 }
 
 TEST(Ewma, ResetClearsState) {
   Ewma e(0.5, 3);
   for (double s : {1.0, 2.0, 3.0}) e.Observe(s);
   e.Reset();
-  EXPECT_FALSE(e.Ready());
   EXPECT_THROW(e.PredictNext(), std::invalid_argument);
+  // The per-slot averages are gone too: back to first-day persistence.
+  e.Observe(5.0);
+  EXPECT_DOUBLE_EQ(e.PredictNext(), 5.0);  // not slot 1's old 2.0
 }
 
 TEST(Ewma, RejectsNegativeSample) {

@@ -8,10 +8,12 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
 
 #include "common/threadpool.hpp"
 #include "fleet/aggregate.hpp"
 #include "fleet/scenario.hpp"
+#include "fleet/visit_predictor.hpp"
 #include "fleet_summary_expect.hpp"
 
 namespace shep {
@@ -204,9 +206,9 @@ TEST(PredictorSpec, FactoryMakesEveryKind) {
         PredictorKind::kPreviousDay}) {
     PredictorSpec spec;
     spec.kind = kind;
-    const auto predictor = spec.Make(48);
-    ASSERT_NE(predictor, nullptr);
-    EXPECT_FALSE(predictor->Name().empty());
+    const std::string name = VisitPredictor(
+        spec, 48, [](const auto& predictor) { return predictor.Name(); });
+    EXPECT_FALSE(name.empty());
     EXPECT_EQ(spec.Label(), PredictorKindName(kind));
   }
 }

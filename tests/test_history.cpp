@@ -24,7 +24,6 @@ void PushDay(HistoryMatrix& h, std::initializer_list<double> day) {
 TEST(HistoryMatrix, StartsEmpty) {
   HistoryMatrix h(3, 4);
   EXPECT_EQ(h.stored_days(), 0u);
-  EXPECT_FALSE(h.full());
   EXPECT_EQ(h.capacity_days(), 3u);
   EXPECT_EQ(h.slots_per_day(), 4u);
 }
@@ -33,9 +32,8 @@ TEST(HistoryMatrix, FillsToCapacity) {
   HistoryMatrix h(2, 4);
   PushDay(h, DayOf(1.0, 4));
   EXPECT_EQ(h.stored_days(), 1u);
-  EXPECT_FALSE(h.full());
   PushDay(h, DayOf(2.0, 4));
-  EXPECT_TRUE(h.full());
+  EXPECT_EQ(h.stored_days(), 2u);
   PushDay(h, DayOf(3.0, 4));
   EXPECT_EQ(h.stored_days(), 2u);  // saturates
 }
@@ -70,30 +68,33 @@ TEST(HistoryMatrix, MuIsColumnAverage) {
   EXPECT_DOUBLE_EQ(h.Mu(1), 5.0);
 }
 
-TEST(HistoryMatrix, MuWithSmallerWindowUsesNewestDays) {
-  HistoryMatrix h(3, 1);
-  PushDay(h, {1.0});
-  PushDay(h, {2.0});
-  PushDay(h, {9.0});
-  EXPECT_DOUBLE_EQ(h.Mu(0, 1), 9.0);
-  EXPECT_DOUBLE_EQ(h.Mu(0, 2), 5.5);
-  EXPECT_DOUBLE_EQ(h.Mu(0, 3), 4.0);
+TEST(HistoryMatrix, MuOfASmallerMatrixUsesNewestDays) {
+  // The same three days through matrices of capacity 1, 2 and 3: each
+  // averages only the days it still holds.
+  const auto mu = [](std::size_t capacity) {
+    HistoryMatrix h(capacity, 1);
+    PushDay(h, {1.0});
+    PushDay(h, {2.0});
+    PushDay(h, {9.0});
+    return h.Mu(0);
+  };
+  EXPECT_DOUBLE_EQ(mu(1), 9.0);
+  EXPECT_DOUBLE_EQ(mu(2), 5.5);
+  EXPECT_DOUBLE_EQ(mu(3), 4.0);
 }
 
 TEST(HistoryMatrix, MuBeforeFullUsesStoredDaysOnly) {
   HistoryMatrix h(5, 1);
   PushDay(h, {4.0});
   PushDay(h, {8.0});
-  EXPECT_DOUBLE_EQ(h.Mu(0, 5), 6.0);  // window capped at stored days
+  EXPECT_DOUBLE_EQ(h.Mu(0), 6.0);  // averages the stored days only
 }
 
 TEST(HistoryMatrix, MuValidation) {
   HistoryMatrix h(2, 2);
   EXPECT_THROW(h.Mu(0), std::invalid_argument);  // empty
   PushDay(h, {1.0, 2.0});
-  EXPECT_THROW(h.Mu(2), std::invalid_argument);     // bad slot
-  EXPECT_THROW(h.Mu(0, 0), std::invalid_argument);  // zero window
-  EXPECT_THROW(h.Mu(0, 3), std::invalid_argument);  // beyond capacity
+  EXPECT_THROW(h.Mu(2), std::invalid_argument);  // bad slot
 }
 
 TEST(HistoryMatrix, AppendRollsTheDayOverAtItsLastSlot) {
@@ -134,23 +135,22 @@ TEST(HistoryMatrix, RejectsZeroDimensions) {
   EXPECT_THROW(HistoryMatrix(4, 0), std::invalid_argument);
 }
 
-// Property: after pushing many days into a D-capacity ring, Mu over window
-// w equals the arithmetic mean of the last w pushed values, for any w <= D.
+// Property: after pushing many days into a D-capacity ring, Mu equals the
+// arithmetic mean of the last min(D, pushed) values, for any D.
 class HistoryWindowTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(HistoryWindowTest, MuMatchesDirectAverage) {
-  const std::size_t window = GetParam();
-  const std::size_t capacity = 8;
+  const std::size_t capacity = GetParam();
   HistoryMatrix h(capacity, 1);
   std::vector<double> pushed;
   for (int day = 0; day < 30; ++day) {
     const double v = 0.5 * day + (day % 3);
     PushDay(h, {v});
     pushed.push_back(v);
-    const std::size_t w = std::min(window, pushed.size());
+    const std::size_t w = std::min(capacity, pushed.size());
     double acc = 0.0;
     for (std::size_t i = 0; i < w; ++i) acc += pushed[pushed.size() - 1 - i];
-    EXPECT_NEAR(h.Mu(0, window), acc / static_cast<double>(w), 1e-12);
+    EXPECT_NEAR(h.Mu(0), acc / static_cast<double>(w), 1e-12);
   }
 }
 

@@ -1,5 +1,6 @@
-// Tests for mgmt/node_sim.hpp — prediction quality has operational value.
-#include "mgmt/node_sim.hpp"
+// Tests for the node simulation (mgmt/node_sim.hpp, run through
+// mgmt/node_sim_kernel.hpp) — prediction quality has operational value.
+#include "mgmt/node_sim_kernel.hpp"
 
 #include <gtest/gtest.h>
 
@@ -43,14 +44,14 @@ NodeSimConfig MakeConfig() {
   return c;
 }
 
-TEST(SimulateNode, ProducesConsistentAccounting) {
+TEST(NodeSim, ProducesConsistentAccounting) {
   const auto series = MakeSeries("ECSU", 60);
   WcmaParams p;
   p.alpha = 0.7;
   p.days = 20;
   p.slots_k = 2;
   Wcma predictor(p, 48);
-  const auto r = SimulateNode(predictor, series, MakeConfig());
+  const auto r = SimulateNodeKernel(predictor, series, MakeConfig());
   EXPECT_EQ(r.slots, (60u - 20u) * 48u - 1u);
   EXPECT_GE(r.mean_duty, MakeConfig().duty.min_duty);
   EXPECT_LE(r.mean_duty, 1.0);
@@ -61,31 +62,31 @@ TEST(SimulateNode, ProducesConsistentAccounting) {
   EXPECT_GE(r.min_level_fraction, 0.0);
 }
 
-TEST(SimulateNode, DeterministicForSamePredictor) {
+TEST(NodeSim, DeterministicForSamePredictor) {
   const auto series = MakeSeries("HSU", 40);
   WcmaParams p;
   p.days = 10;
   Wcma a(p, 48), b(p, 48);
-  const auto ra = SimulateNode(a, series, MakeConfig());
-  const auto rb = SimulateNode(b, series, MakeConfig());
+  const auto ra = SimulateNodeKernel(a, series, MakeConfig());
+  const auto rb = SimulateNodeKernel(b, series, MakeConfig());
   EXPECT_DOUBLE_EQ(ra.mean_duty, rb.mean_duty);
   EXPECT_EQ(ra.violations, rb.violations);
   EXPECT_DOUBLE_EQ(ra.overflow_j, rb.overflow_j);
 }
 
-TEST(SimulateNode, NodeStaysUpMostOfTheTime) {
+TEST(NodeSim, NodeStaysUpMostOfTheTime) {
   const auto series = MakeSeries("PFCI", 60);
   WcmaParams p;
   p.alpha = 0.7;
   p.days = 10;
   p.slots_k = 2;
   Wcma predictor(p, 48);
-  const auto r = SimulateNode(predictor, series, MakeConfig());
+  const auto r = SimulateNodeKernel(predictor, series, MakeConfig());
   // Sunny site + conservative controller: brown-outs must be rare.
   EXPECT_LT(r.violation_rate, 0.05);
 }
 
-TEST(SimulateNode, BetterPredictorDeliversBetterOperation) {
+TEST(NodeSim, BetterPredictorDeliversBetterOperation) {
   // The paper's premise: management effectiveness is sensitive to
   // prediction accuracy.  Score = violation rate with wasted-harvest as a
   // tiebreaker; WCMA must beat the day-lagging EWMA baseline on a volatile
@@ -100,8 +101,8 @@ TEST(SimulateNode, BetterPredictorDeliversBetterOperation) {
   Wcma wcma(p, 48);
   Ewma ewma(0.5, 48);
 
-  const auto r_wcma = SimulateNode(wcma, series, config);
-  const auto r_ewma = SimulateNode(ewma, series, config);
+  const auto r_wcma = SimulateNodeKernel(wcma, series, config);
+  const auto r_ewma = SimulateNodeKernel(ewma, series, config);
 
   const double score_wcma =
       r_wcma.violation_rate + r_wcma.overflow_j / r_wcma.harvested_j;
@@ -110,23 +111,23 @@ TEST(SimulateNode, BetterPredictorDeliversBetterOperation) {
   EXPECT_LT(score_wcma, score_ewma);
 }
 
-TEST(SimulateNode, SlotLengthMismatchIsRejected) {
+TEST(NodeSim, SlotLengthMismatchIsRejected) {
   const auto series = MakeSeries("HSU", 25);
   auto config = MakeConfig();
   config.duty.slot_seconds = 900.0;  // series is 1800 s slots
   Persistence p;
-  EXPECT_THROW(SimulateNode(p, series, config), std::invalid_argument);
+  EXPECT_THROW(SimulateNodeKernel(p, series, config), std::invalid_argument);
 }
 
-TEST(SimulateNode, ValidatesInitialLevel) {
+TEST(NodeSim, ValidatesInitialLevel) {
   const auto series = MakeSeries("HSU", 25);
   auto config = MakeConfig();
   config.initial_level_fraction = 1.5;
   Persistence p;
-  EXPECT_THROW(SimulateNode(p, series, config), std::invalid_argument);
+  EXPECT_THROW(SimulateNodeKernel(p, series, config), std::invalid_argument);
 }
 
-TEST(SimulateNode, LongRunDutyStddevMatchesTwoPassReference) {
+TEST(NodeSim, LongRunDutyStddevMatchesTwoPassReference) {
   // Pin for the Welford duty-variance accumulator: replay the simulation
   // loop with the same public components, collect the actual duty
   // sequence, and compare the kernel's streamed stddev against the exact
@@ -136,7 +137,7 @@ TEST(SimulateNode, LongRunDutyStddevMatchesTwoPassReference) {
   const auto series = MakeSeries("ECSU", 380);
   const auto config = MakeConfig();
   Ewma predictor(0.5, 48);
-  const auto result = SimulateNode(predictor, series, config);
+  const auto result = SimulateNodeKernel(predictor, series, config);
   ASSERT_GT(result.slots, 15000u);
 
   Ewma replay_predictor(0.5, 48);
@@ -176,7 +177,7 @@ TEST(SimulateNode, LongRunDutyStddevMatchesTwoPassReference) {
   EXPECT_NEAR(result.mean_duty, mean, 1e-12);
 }
 
-TEST(SimulateNode, TinyStorageCausesMoreViolations) {
+TEST(NodeSim, TinyStorageCausesMoreViolations) {
   const auto series = MakeSeries("SPMD", 60);
   WcmaParams p;
   p.days = 10;
@@ -184,8 +185,8 @@ TEST(SimulateNode, TinyStorageCausesMoreViolations) {
   auto small = MakeConfig();
   small.storage.capacity_j = 500.0;  // under one night's minimum draw
   Wcma pa(p, 48), pb(p, 48);
-  const auto r_big = SimulateNode(pa, series, big);
-  const auto r_small = SimulateNode(pb, series, small);
+  const auto r_big = SimulateNodeKernel(pa, series, big);
+  const auto r_small = SimulateNodeKernel(pb, series, small);
   EXPECT_GT(r_small.violations, r_big.violations);
 }
 

@@ -47,25 +47,8 @@ TEST(ResetParity, WcmaMatchesFreshPredictor) {
   Wcma reused(params, kSlotsPerDay);
   Predictions(reused);  // dirty the state with a full pass
   reused.Reset();
-  EXPECT_FALSE(reused.Ready());
 
   Wcma fresh(params, kSlotsPerDay);
-  const auto got = Predictions(reused);
-  const auto want = Predictions(fresh);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_DOUBLE_EQ(got[i], want[i]) << "prediction " << i;
-  }
-}
-
-TEST(ResetParity, WcmaUniformWeightingMatchesFreshPredictor) {
-  WcmaParams params;
-  params.days = 5;
-  Wcma reused(params, kSlotsPerDay, WcmaWeighting::kUniform);
-  Predictions(reused);
-  reused.Reset();
-
-  Wcma fresh(params, kSlotsPerDay, WcmaWeighting::kUniform);
   const auto got = Predictions(reused);
   const auto want = Predictions(fresh);
   ASSERT_EQ(got.size(), want.size());
@@ -80,7 +63,6 @@ TEST(ResetParity, FixedWcmaMatchesFreshPredictor) {
   FixedWcma reused(params, kSlotsPerDay);
   Predictions(reused);
   reused.Reset();
-  EXPECT_FALSE(reused.Ready());
 
   FixedWcma fresh(params, kSlotsPerDay);
   const auto got = Predictions(reused);
@@ -98,7 +80,6 @@ TEST(ResetParity, VmWcmaMatchesFreshPredictor) {
   VmWcmaPredictor reused(params, kSlotsPerDay);
   Predictions(reused);  // dirty the host state, the VM memory, the counters
   reused.Reset();
-  EXPECT_FALSE(reused.Ready());
 
   VmWcmaPredictor fresh(params, kSlotsPerDay);
   const auto got = Predictions(reused);
@@ -118,20 +99,14 @@ TEST(ResetParity, VmWcmaResetClearsCycleCounters) {
   params.days = 5;
   VmWcmaPredictor p(params, kSlotsPerDay);
   Predictions(p);
-  ASSERT_GT(p.predict_calls(), 0u);
-  ASSERT_GT(p.vm_runs(), 0u);
+  ASSERT_GT(p.ComputeCost().predictions, 0u);
   ASSERT_GT(p.ComputeCost().cycles, 0.0);
   ASSERT_GT(p.ComputeCost().ops, 0u);
-  ASSERT_GT(p.last_cycles(), 0.0);
 
   p.Reset();
-  EXPECT_EQ(p.predict_calls(), 0u);
-  EXPECT_EQ(p.vm_runs(), 0u);
   EXPECT_EQ(p.ComputeCost().cycles, 0.0);
   EXPECT_EQ(p.ComputeCost().ops, 0u);
   EXPECT_EQ(p.ComputeCost().predictions, 0u);
-  EXPECT_EQ(p.last_cycles(), 0.0);
-  EXPECT_EQ(p.total_ops().total(), 0u);
 }
 
 TEST(ResetParity, CostedFixedWcmaMatchesBareFixedWcma) {

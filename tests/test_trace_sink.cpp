@@ -363,9 +363,9 @@ TEST(TraceSinkFleet, OverflowingRingDropsLoudlyAndChangesNothing) {
   TraceSinkOptions options;
   options.directory = UniqueDir("overflow");
   options.ring_capacity = 16;  // absurdly small: guaranteed overflow.
-  // A sleepy drain makes the overflow deterministic-ish; correctness must
-  // not depend on how MUCH is dropped, only that it is accounted.
-  options.drain_idle_micros = 2000;
+  // The drain sleeps whenever the rings come up empty and probes never
+  // wake it, so a 16-event ring overflows within one sleep; correctness
+  // must not depend on how MUCH is dropped, only that it is accounted.
   TraceSink sink(options);
   FleetRunOptions run;
   run.trace_sink = &sink;
@@ -388,8 +388,8 @@ TEST(TraceSinkFleet, OverflowingRingDropsLoudlyAndChangesNothing) {
 }
 
 TEST(TraceSinkFleet, BlockOnFullTradesDropsForBackpressure) {
-  // Same starved configuration as the overflow test — a 16-slot ring and a
-  // sleepy drain — but with backpressure on: the probes wait for the drain
+  // Same starved configuration as the overflow test — a 16-slot ring that
+  // the sleeping drain lets fill — but with backpressure on: the probes wait for the drain
   // instead of dropping, so the event stream is complete and the summary
   // still matches the untraced bytes (the mode perfbench's fleet_telemetry
   // workload prices).
@@ -398,7 +398,6 @@ TEST(TraceSinkFleet, BlockOnFullTradesDropsForBackpressure) {
 
   TraceSinkOptions options;
   options.ring_capacity = 16;
-  options.drain_idle_micros = 2000;
   options.block_on_full = true;
   TraceSink sink(options);
   FleetRunOptions run;

@@ -66,22 +66,11 @@ TEST(Wcma, PredictNextBeforeObserveThrows) {
   EXPECT_THROW(wcma.PredictNext(), std::invalid_argument);
 }
 
-TEST(Wcma, ReadyAfterDFullDays) {
-  WcmaParams p;
-  p.days = 3;
-  p.slots_k = 1;
-  Wcma wcma(p, 4);
-  for (int d = 0; d < 3; ++d) {
-    EXPECT_FALSE(wcma.Ready());
-    for (double s : MiniDay(1.0)) wcma.Observe(s);
-  }
-  EXPECT_TRUE(wcma.Ready());
-}
-
 TEST(Wcma, IdenticalDaysGiveExactPrediction) {
   // If every day is identical, μ equals the day's profile, all η = 1 (in
   // lit slots), so ê(n+1) = α·ẽ(n) + (1−α)·e(n+1) — exact when the profile
-  // is flat.
+  // is flat, and from the first slot on: the day-0 persistence fallback and
+  // the partial-history μ also give the flat value.
   WcmaParams p;
   p.alpha = 0.4;
   p.days = 2;
@@ -91,9 +80,7 @@ TEST(Wcma, IdenticalDaysGiveExactPrediction) {
   for (int d = 0; d < 5; ++d) {
     for (double s : flat) {
       wcma.Observe(s);
-      if (wcma.Ready()) {
-        EXPECT_NEAR(wcma.PredictNext(), 3.0, 1e-12);
-      }
+      EXPECT_NEAR(wcma.PredictNext(), 3.0, 1e-12);
     }
   }
 }
@@ -177,10 +164,11 @@ TEST(Wcma, ResetRestoresInitialState) {
   for (int d = 0; d < 3; ++d) {
     for (double s : MiniDay(1.0)) wcma.Observe(s);
   }
-  EXPECT_TRUE(wcma.Ready());
   wcma.Reset();
-  EXPECT_FALSE(wcma.Ready());
   EXPECT_THROW(wcma.PredictNext(), std::invalid_argument);
+  // The history is gone too: the first prediction is persistence again.
+  wcma.Observe(2.0);
+  EXPECT_DOUBLE_EQ(wcma.PredictNext(), 2.0);
 }
 
 TEST(Wcma, NameMentionsParameters) {
@@ -193,24 +181,6 @@ TEST(Wcma, NameMentionsParameters) {
   EXPECT_NE(name.find("0.7"), std::string::npos);
   EXPECT_NE(name.find("20"), std::string::npos);
   EXPECT_NE(name.find("3"), std::string::npos);
-}
-
-TEST(Wcma, UniformWeightingChangesPhi) {
-  auto phi = [](WcmaWeighting w) {
-    WcmaParams p;
-    p.days = 2;
-    p.slots_k = 2;
-    Wcma wcma(p, 4, w);
-    for (int d = 0; d < 2; ++d) {
-      for (double s : MiniDay(1.0)) wcma.Observe(s);
-    }
-    wcma.Observe(0.0);
-    wcma.Observe(1.0);  // η history: night(1.0), 0.5
-    return wcma.CurrentPhi();
-  };
-  // Ramp: (0.5·1 + 1·0.5)/1.5 = 2/3.  Uniform: (1+0.5)/2 = 0.75.
-  EXPECT_NEAR(phi(WcmaWeighting::kRamp), 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(phi(WcmaWeighting::kUniform), 0.75, 1e-12);
 }
 
 TEST(Wcma, RejectsNegativeSamples) {

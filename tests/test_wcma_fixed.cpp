@@ -135,16 +135,14 @@ TEST(FixedWcma, ObserveAmortisesDayRollover) {
   EXPECT_GT(stores_per_call, 2.0);
 }
 
-TEST(FixedWcma, ReadyAndResetLifecycle) {
+TEST(FixedWcma, ResetLifecycle) {
   WcmaParams p;
   p.days = 2;
   p.slots_k = 1;
   FixedWcma fx(p, 4);
   for (int i = 0; i < 8; ++i) fx.Observe(0.5);
-  EXPECT_TRUE(fx.Ready());
   EXPECT_GT(fx.observe_ops().store, 0u);
   fx.Reset();
-  EXPECT_FALSE(fx.Ready());
   EXPECT_EQ(fx.observe_ops().store, 0u);
   EXPECT_EQ(fx.observe_calls(), 0u);
   EXPECT_THROW(fx.PredictNext(), std::invalid_argument);
