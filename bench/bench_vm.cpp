@@ -3,6 +3,7 @@
 // counts are what repro_table4 reports).
 #include <benchmark/benchmark.h>
 
+#include "common/constants.hpp"
 #include "hw/predictor_program.hpp"
 #include "hw/vm.hpp"
 
@@ -21,19 +22,36 @@ WcmaVmInputs Inputs(int k) {
   return in;
 }
 
+// Times the routine alone: the program is assembled and validated, the VM
+// allocated and its inputs poked once, outside the timed loop, as
+// VmWcmaPredictor does per wake-up.
 void BM_WcmaRoutineByK(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   WcmaProgramLayout layout;
   layout.slots_k = k;
   layout.alpha = 0.7;
   const auto in = Inputs(k);
-  double modelled_cycles = 0.0;
-  for (auto _ : state) {
-    const auto run = RunWcmaOnVm(layout, in);
-    modelled_cycles = run.vm.cycles;
-    benchmark::DoNotOptimize(run.prediction);
+  const VmProgram program = BuildWcmaPredictProgram(layout);
+  MicroVm vm(layout.memory_words());
+  vm.Poke(WcmaProgramLayout::kAddrSample, in.sample);
+  vm.Poke(WcmaProgramLayout::kAddrMuNext, in.mu_next);
+  vm.Poke(WcmaProgramLayout::kAddrEpsilon, kNightEpsilonW);
+  for (std::size_t i = 0; i < static_cast<std::size_t>(k); ++i) {
+    vm.Poke(WcmaProgramLayout::kAddrRecentBase + i, in.recent_samples[i]);
+    vm.Poke(layout.recent_mu_base() + i, in.recent_mus[i]);
   }
-  state.counters["modelled_msp430_cycles"] = modelled_cycles;
+  const WcmaVmRun reference = RunWcmaOnVm(layout, in);
+  VmResult run = vm.Run(program);
+  if (!run.ok() ||
+      vm.Peek(WcmaProgramLayout::kAddrOutput) != reference.prediction) {
+    state.SkipWithError("prebuilt run disagrees with RunWcmaOnVm");
+    return;
+  }
+  for (auto _ : state) {
+    run = vm.Run(program);
+    benchmark::DoNotOptimize(run.cycles);
+  }
+  state.counters["modelled_msp430_cycles"] = run.cycles;
 }
 BENCHMARK(BM_WcmaRoutineByK)->DenseRange(1, 7, 1);
 
