@@ -201,6 +201,55 @@ TEST(ScenarioSpecSerde, RejectsMalformedText) {
   EXPECT_THROW(PredictorKindFromName("nope"), std::invalid_argument);
 }
 
+/// EverythingSpec with the remaining blocks moved off their defaults too:
+/// faults, the duty controller, and the store, so every field of the text
+/// form carries a value a reordering would visibly misplace.
+ScenarioSpec PinnedSpec() {
+  ScenarioSpec spec = EverythingSpec();
+  spec.name = "pinned";
+  spec.node.duty.active_power_w = 0.045;
+  spec.node.duty.level_gain = 0.07;
+  spec.node.storage.leakage_w = 2.5e-5;
+  spec.faults.outage_rate_per_day = 0.05;
+  spec.faults.outage_mean_slots = 6.0;
+  spec.faults.dropout_rate_per_day = 0.1;
+  spec.faults.dropout_mean_slots = 3.0;
+  spec.faults.panel_decay_per_day = 0.001;
+  spec.faults.battery_aging_per_day = 0.002;
+  spec.faults.recovery_window_slots = 24;
+  return spec;
+}
+
+/// The committed bytes of PinnedSpec().Describe().  Round trips only prove
+/// a format agrees with itself; this pin proves it still agrees with every
+/// file and process that already speaks it.
+const std::string kPinnedSpecText = R"(shep-scenario v2
+name pinned
+seed 91
+shape 20 48 2
+sites 2 HSU PFCI
+tiers 2 0x1.77p+10 0x1.77p+12
+predictors 8
+predictor WCMA wcma 0x1.6666666666666p-1 6 3 ewma 0x1.7ae147ae147aep-2 ar 3 9 0x1.dc28f5c28f5c3p-1 0x1.eep+6 adaptive 3 0x1p-2 0x1p-1 0x1.ccccccccccccdp-1 3 1 2 4 7 0x1.999999999999ap-1
+predictor FixedWCMA wcma 0x1.6666666666666p-1 6 3 ewma 0x1.7ae147ae147aep-2 ar 3 9 0x1.dc28f5c28f5c3p-1 0x1.eep+6 adaptive 3 0x1p-2 0x1p-1 0x1.ccccccccccccdp-1 3 1 2 4 7 0x1.999999999999ap-1
+predictor VmWCMA wcma 0x1.6666666666666p-1 6 3 ewma 0x1.7ae147ae147aep-2 ar 3 9 0x1.dc28f5c28f5c3p-1 0x1.eep+6 adaptive 3 0x1p-2 0x1p-1 0x1.ccccccccccccdp-1 3 1 2 4 7 0x1.999999999999ap-1
+predictor EWMA wcma 0x1.6666666666666p-1 6 3 ewma 0x1.7ae147ae147aep-2 ar 3 9 0x1.dc28f5c28f5c3p-1 0x1.eep+6 adaptive 3 0x1p-2 0x1p-1 0x1.ccccccccccccdp-1 3 1 2 4 7 0x1.999999999999ap-1
+predictor AR wcma 0x1.6666666666666p-1 6 3 ewma 0x1.7ae147ae147aep-2 ar 3 9 0x1.dc28f5c28f5c3p-1 0x1.eep+6 adaptive 3 0x1p-2 0x1p-1 0x1.ccccccccccccdp-1 3 1 2 4 7 0x1.999999999999ap-1
+predictor AdaptiveWCMA wcma 0x1.6666666666666p-1 6 3 ewma 0x1.7ae147ae147aep-2 ar 3 9 0x1.dc28f5c28f5c3p-1 0x1.eep+6 adaptive 3 0x1p-2 0x1p-1 0x1.ccccccccccccdp-1 3 1 2 4 7 0x1.999999999999ap-1
+predictor Persistence wcma 0x1.6666666666666p-1 6 3 ewma 0x1.7ae147ae147aep-2 ar 3 9 0x1.dc28f5c28f5c3p-1 0x1.eep+6 adaptive 3 0x1p-2 0x1p-1 0x1.ccccccccccccdp-1 3 1 2 4 7 0x1.999999999999ap-1
+predictor PreviousDay wcma 0x1.6666666666666p-1 6 3 ewma 0x1.7ae147ae147aep-2 ar 3 9 0x1.dc28f5c28f5c3p-1 0x1.eep+6 adaptive 3 0x1p-2 0x1p-1 0x1.ccccccccccccdp-1 3 1 2 4 7 0x1.999999999999ap-1
+duty 0x1.c2p+10 0x1.70a3d70a3d70ap-5 0x1.19db7358bd307p-18 0x1.47ae147ae147bp-6 0x1p+0 0x1p-1 0x1.1eb851eb851ecp-4
+store 0x1.f4p+8 0x1.bd70a3d70a3d7p-1 0x1.a36e2eb1c432dp-16
+node 0x1.ae147ae147ae1p-2 10 0x1.3333333333333p-3
+faults outage 0x1.999999999999ap-5 0x1.8p+2 dropout 0x1.999999999999ap-4 0x1.8p+1 panel 0x1.0624dd2f1a9fcp-10 aging 0x1.0624dd2f1a9fcp-9 recovery 24
+end-scenario
+)";
+
+TEST(ScenarioSpecSerde, DescribeMatchesCommittedText) {
+  EXPECT_EQ(PinnedSpec().Describe(), kPinnedSpecText);
+  EXPECT_EQ(ParseScenarioSpec(kPinnedSpecText).Describe(), kPinnedSpecText);
+}
+
 // ---- Wire protocol -------------------------------------------------------
 
 TEST(FleetProtocol, JobRoundTripsAndFramesChecksum) {
@@ -269,6 +318,25 @@ TEST(FleetProtocol, JobRoundTripsAndFramesChecksum) {
   EXPECT_FALSE(ParseFleetFrameHeader("frame 3 99999999999999 0 0"));
   EXPECT_TRUE(ParseFleetFrameHeader(
       "frame 3 " + std::to_string(kMaxFleetFrameBytes) + " 0 0"));
+}
+
+TEST(FleetProtocol, EncodedJobMatchesCommittedText) {
+  FleetWorkerJob job;
+  job.spec = PinnedSpec();
+  job.shard_size = 5;
+  job.threads = 2;
+  job.fingerprint = 0xDEADBEEFull;
+  job.trace_dir = "traces/run one";  // the rest of the line, spaces too.
+  const std::string head =
+      "shep-fleet-job v2\n"
+      "fingerprint 3735928559\n"
+      "shard-size 5\n"
+      "threads 2\n"
+      "trace-dir traces/run one\n"
+      "spec 2012\n";
+  EXPECT_EQ(EncodeFleetJob(job), head + kPinnedSpecText + "end-job\n");
+  std::istringstream in(head + kPinnedSpecText + "end-job\n");
+  EXPECT_EQ(EncodeFleetJob(ParseFleetJob(in)), EncodeFleetJob(job));
 }
 
 TEST(FleetDispatch, LaneGroupsFollowTheLanesEachShardReads) {

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -170,6 +171,96 @@ TEST(FleetPartial, SerializeParseRoundTripIsBitIdentical) {
   EXPECT_EQ(parsed.Serialize(), original.Serialize());
 
   EXPECT_THROW(FleetPartial::Parse("garbage"), std::invalid_argument);
+}
+
+/// A partial built by hand: a literal fingerprint, two shards, and one cell
+/// whose node sits at the edges of double (smallest normal duty, subnormal
+/// MAPE, a NaN histogram sample, a 32-bit downtime total) next to an
+/// empty cell.
+FleetPartial PinnedPartial() {
+  CellAccumulator edge;
+  NodeSimResult result;
+  result.violation_rate = 1.0;
+  result.mean_duty = std::numeric_limits<double>::min();
+  result.harvested_j = 3.0;
+  result.overflow_j = 1.0;
+  result.min_level_fraction = -0.0;
+  result.mape = std::numeric_limits<double>::denorm_min();
+  result.mape_points = 1;
+  result.violations = 7;
+  result.slots = 48;
+  result.has_compute_cost = true;
+  result.compute.predictions = 3;
+  result.compute.cycles = 1000;
+  result.compute.ops = 10;
+  result.faulted = true;
+  result.downtime_slots = 0xFFFFFFFFull;
+  result.recoveries = 3;
+  result.post_recovery_slots = 5;
+  result.post_recovery_violations = 5;
+  edge.Add(result);
+  edge.violation_hist.Add(std::numeric_limits<double>::quiet_NaN());
+
+  FleetPartial partial;
+  partial.scenario_name = "pinned";
+  partial.plan_fingerprint = 0x0123456789ABCDEFull;
+  partial.nodes_simulated = 2;
+  partial.synth_seconds = 0.25;
+  partial.sim_seconds = 1.0 / 3.0;
+  ShardCells first;
+  first.shard = 3;
+  first.cells.emplace_back(7, edge);
+  ShardCells second;
+  second.shard = 5;
+  second.cells.emplace_back(8, CellAccumulator());
+  partial.shards = {first, second};
+  return partial;
+}
+
+/// The committed bytes of PinnedPartial().Serialize(): the frames workers
+/// stream today, which any rewrite of the serializer must reproduce.
+const std::string kPinnedPartialText = R"(shep-fleet-partial v3
+scenario pinned
+fingerprint 81985529216486895
+nodes 2
+synth_seconds 0x1p-2
+sim_seconds 0x1.5555555555555p-2
+shards 2
+shard 3 cells 1
+cell 7
+moments 1 0x1p+0 0x0p+0 0x1p+0 0x1p+0
+moments 1 0x1p-1022 0x0p+0 0x1p-1022 0x1p-1022
+moments 1 0x1.5555555555555p-2 0x0p+0 0x1.5555555555555p-2 0x1.5555555555555p-2
+moments 1 0x0p+0 0x0p+0 -0x0p+0 -0x0p+0
+moments 1 0x0.0000000000001p-1022 0x0p+0 0x0.0000000000001p-1022 0x0.0000000000001p-1022
+moments 1 0x1.4d55555555555p+8 0x0p+0 0x1.4d55555555555p+8 0x1.4d55555555555p+8
+moments 1 0x1.aaaaaaaaaaaabp+1 0x0p+0 0x1.aaaaaaaaaaaabp+1 0x1.aaaaaaaaaaaabp+1
+moments 1 0x1.7fffffb980001p-27 0x0p+0 0x1.7fffffb980001p-27 0x1.7fffffb980001p-27
+moments 1 0x1p+0 0x0p+0 0x1p+0 0x1p+0
+hist 0x0p+0 0x1p+0 256 1 1 255:1
+hist 0x0p+0 0x1.388p+14 500 0 1 8:1
+totals 7 48 4294967295 3
+shard 5 cells 1
+cell 8
+moments 0 0x0p+0 0x0p+0 0x0p+0 0x0p+0
+moments 0 0x0p+0 0x0p+0 0x0p+0 0x0p+0
+moments 0 0x0p+0 0x0p+0 0x0p+0 0x0p+0
+moments 0 0x0p+0 0x0p+0 0x0p+0 0x0p+0
+moments 0 0x0p+0 0x0p+0 0x0p+0 0x0p+0
+moments 0 0x0p+0 0x0p+0 0x0p+0 0x0p+0
+moments 0 0x0p+0 0x0p+0 0x0p+0 0x0p+0
+moments 0 0x0p+0 0x0p+0 0x0p+0 0x0p+0
+moments 0 0x0p+0 0x0p+0 0x0p+0 0x0p+0
+hist 0x0p+0 0x1p+0 256 0 0
+hist 0x0p+0 0x1.388p+14 500 0 0
+totals 0 0 0 0
+end
+)";
+
+TEST(FleetPartial, SerializeMatchesCommittedText) {
+  EXPECT_EQ(PinnedPartial().Serialize(), kPinnedPartialText);
+  EXPECT_EQ(FleetPartial::Parse(kPinnedPartialText).Serialize(),
+            kPinnedPartialText);
 }
 
 // Corrupted wire bytes must be rejected, never silently reinterpreted.

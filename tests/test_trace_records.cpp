@@ -214,6 +214,72 @@ TEST(TraceFileSerde, ShardFileRoundTripsExactly) {
   EXPECT_EQ(again.str(), first.str());
 }
 
+/// A shard file built by hand: two cells, a slot record and a day record
+/// whose doubles sit at the edges of the representation (signed zero, a
+/// subnormal, the finite extrema, an infinity, a NaN).
+TraceShardFile PinnedShardFile() {
+  TraceShardFile file;
+  file.scenario_name = "pinned";
+  file.fingerprint = 0xFEEDFACECAFEBEEFull;
+  file.shard = 17;
+  file.slots_per_day = 48;
+  file.days = 30;
+  file.cells.push_back({4, "HSU", "WCMA", 1500.0});
+  file.cells.push_back({5, "PFCI", "WCMA#1", 0.1});
+  TraceRecord r;
+  r.node = 12;
+  r.cell = 4;
+  r.slot = 4095;
+  r.trigger_mask = kTraceTriggerSocLowWater | kTraceTriggerOutage;
+  r.violated = true;
+  r.soc = -0.0;
+  r.predicted_w = std::numeric_limits<double>::denorm_min();
+  r.actual_w = std::numeric_limits<double>::quiet_NaN();
+  r.duty = std::numeric_limits<double>::max();
+  file.records.push_back(r);
+  TraceDayRecord d;
+  d.node = 13;
+  d.cell = 5;
+  d.day = 2;
+  d.slots = 48;
+  d.violations = 3;
+  d.min_soc = std::numeric_limits<double>::min();
+  d.mean_duty = 1.0 / 3.0;
+  d.max_abs_error_w = -std::numeric_limits<double>::infinity();
+  file.day_records.push_back(d);
+  file.dropped_events = 9;
+  return file;
+}
+
+/// The committed bytes of PinnedShardFile().Serialize(): the .shtr files
+/// already on disk, which any rewrite of the serializer must reproduce.
+const std::string kPinnedShardFileText = R"(shep-trace v1
+scenario pinned
+fingerprint 18369614221190020847
+shard 17
+slots_per_day 48
+days 30
+cells 2
+cell 4 HSU WCMA 0x1.77p+10
+cell 5 PFCI WCMA#1 0x1.999999999999ap-4
+records 1
+slot 12 4 4095 10 1 -0x0p+0 0x0.0000000000001p-1022 nan 0x1.fffffffffffffp+1023
+day_records 1
+day 13 5 2 48 3 0x1p-1022 0x1.5555555555555p-2 -inf
+dropped 9
+end
+)";
+
+TEST(TraceFileSerde, SerializeMatchesCommittedText) {
+  std::ostringstream os;
+  PinnedShardFile().Serialize(os);
+  EXPECT_EQ(os.str(), kPinnedShardFileText);
+  std::istringstream is(kPinnedShardFileText);
+  std::ostringstream again;
+  TraceShardFile::Parse(is).Serialize(again);
+  EXPECT_EQ(again.str(), kPinnedShardFileText);
+}
+
 TEST(TraceRing, OverflowDropsAndCountsExactly) {
   TraceRing ring(8);  // rounds to capacity 8.
   ASSERT_EQ(ring.capacity(), 8u);
