@@ -6,10 +6,36 @@
 #include <ostream>
 
 #include "common/check.hpp"
+#include "common/serdes.hpp"
 #include "common/strings.hpp"
 #include "report/table.hpp"
 
 namespace shep {
+
+namespace {
+
+/// The text forms of StreamingMoments and CellAccumulator, for
+/// serdes::TextWriter and TextReader alike.
+template <class Io, class Moments>
+void MomentsFields(Io& io, Moments& m) {
+  io.Line("moments", m.count, m.mean, m.m2, m.min, m.max);
+}
+
+template <class Io, class Cell>
+void CellFields(Io& io, Cell& c) {
+  for (auto* m : {&c.violation_rate, &c.mean_duty, &c.wasted_fraction,
+                  &c.min_soc, &c.mape, &c.cycles_per_wakeup,
+                  &c.ops_per_wakeup, &c.availability,
+                  &c.post_recovery_violation_rate}) {
+    io.Object(*m);
+  }
+  io.Object(c.violation_hist);
+  io.Object(c.cycles_hist);
+  io.Line("totals", c.violations, c.scored_slots, c.downtime_slots,
+          c.recoveries);
+}
+
+}  // namespace
 
 void StreamingMoments::Add(double x) {
   if (count == 0) {
@@ -42,31 +68,20 @@ void StreamingMoments::Merge(const StreamingMoments& other) {
 }
 
 void StreamingMoments::Serialize(std::ostream& os) const {
-  os << "moments " << count << ' ';
-  serdes::WriteDouble(os, mean);
-  os << ' ';
-  serdes::WriteDouble(os, m2);
-  os << ' ';
-  serdes::WriteDouble(os, min);
-  os << ' ';
-  serdes::WriteDouble(os, max);
-  os << '\n';
+  serdes::TextWriter writer(os);
+  MomentsFields(writer, *this);
 }
 
 StreamingMoments StreamingMoments::Deserialize(std::istream& is) {
-  serdes::ExpectToken(is, "moments");
+  serdes::TextReader reader(is);
   StreamingMoments m;
-  m.count = static_cast<std::size_t>(serdes::ReadU64(is));
-  m.mean = serdes::ReadDouble(is);
-  m.m2 = serdes::ReadDouble(is);
+  MomentsFields(reader, m);
   // Add/Merge can only produce m2 >= 0 (WelfordMoments relies on that to
   // skip clamping in variance()); a negative value here is a corrupted or
   // mis-produced partial and would surface as NaN stddevs downstream, so
   // reject it at the process boundary like any other malformed token.
   SHEP_REQUIRE(m.m2 >= 0.0,
                "moments m2 must be non-negative in a serialized partial");
-  m.min = serdes::ReadDouble(is);
-  m.max = serdes::ReadDouble(is);
   return m;
 }
 
@@ -244,39 +259,14 @@ void CellAccumulator::Merge(const CellAccumulator& other) {
 }
 
 void CellAccumulator::Serialize(std::ostream& os) const {
-  violation_rate.Serialize(os);
-  mean_duty.Serialize(os);
-  wasted_fraction.Serialize(os);
-  min_soc.Serialize(os);
-  mape.Serialize(os);
-  cycles_per_wakeup.Serialize(os);
-  ops_per_wakeup.Serialize(os);
-  availability.Serialize(os);
-  post_recovery_violation_rate.Serialize(os);
-  violation_hist.Serialize(os);
-  cycles_hist.Serialize(os);
-  os << "totals " << violations << ' ' << scored_slots << ' '
-     << downtime_slots << ' ' << recoveries << '\n';
+  serdes::TextWriter writer(os);
+  CellFields(writer, *this);
 }
 
 CellAccumulator CellAccumulator::Deserialize(std::istream& is) {
+  serdes::TextReader reader(is);
   CellAccumulator acc;
-  acc.violation_rate = StreamingMoments::Deserialize(is);
-  acc.mean_duty = StreamingMoments::Deserialize(is);
-  acc.wasted_fraction = StreamingMoments::Deserialize(is);
-  acc.min_soc = StreamingMoments::Deserialize(is);
-  acc.mape = StreamingMoments::Deserialize(is);
-  acc.cycles_per_wakeup = StreamingMoments::Deserialize(is);
-  acc.ops_per_wakeup = StreamingMoments::Deserialize(is);
-  acc.availability = StreamingMoments::Deserialize(is);
-  acc.post_recovery_violation_rate = StreamingMoments::Deserialize(is);
-  acc.violation_hist = FixedHistogram::Deserialize(is);
-  acc.cycles_hist = FixedHistogram::Deserialize(is);
-  serdes::ExpectToken(is, "totals");
-  acc.violations = serdes::ReadU64(is);
-  acc.scored_slots = serdes::ReadU64(is);
-  acc.downtime_slots = serdes::ReadU64(is);
-  acc.recoveries = serdes::ReadU64(is);
+  CellFields(reader, acc);
   return acc;
 }
 

@@ -83,12 +83,7 @@ FleetWorkerJob ParseFleetJob(std::istream& in) {
 }
 
 std::uint64_t FleetFrameChecksum(std::string_view payload) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64 offset basis.
-  for (unsigned char c : payload) {
-    h ^= c;
-    h *= 1099511628211ull;  // FNV-1a 64 prime.
-  }
-  return h;
+  return serdes::Fnv1a64(payload);
 }
 
 std::string EncodeFleetFrame(std::size_t shard, const std::string& payload,

@@ -89,7 +89,7 @@ std::string EncodeFleetJob(const FleetWorkerJob& job);
 /// rebuilding the plan.
 [[nodiscard]] FleetWorkerJob ParseFleetJob(std::istream& in);
 
-/// FNV-1a 64 over the payload bytes; the frame checksum.
+/// serdes::Fnv1a64 over the payload bytes; the frame checksum.
 std::uint64_t FleetFrameChecksum(std::string_view payload);
 
 /// One data-plane frame: "frame <shard> <bytes> <checksum> <lanes>\n" +

@@ -49,6 +49,11 @@ void ScenarioSpec::Validate() const {
   // Validation must be exhaustive: the runner executes node simulations on
   // pool workers, where a late throw cannot be caught (std::terminate), so
   // every way a spec could fail downstream is rejected here, up front.
+  // The name travels as one token of Describe(), which every plan's
+  // fingerprint hashes; rejected here, not on a trace drain thread.
+  SHEP_REQUIRE(serdes::IsWord(name),
+               "scenario name must be a non-empty, whitespace-free word: `" +
+                   name + "`");
   SHEP_REQUIRE(!sites.empty(), "scenario needs at least one site");
   SHEP_REQUIRE(slots_per_day > 0 && kSecondsPerDay % slots_per_day == 0,
                "slots_per_day must divide the day");
@@ -84,193 +89,69 @@ void ScenarioSpec::Validate() const {
                "initial level must be a fraction");
 }
 
-std::string ScenarioSpec::Describe() const {
-  Validate();  // only an expandable spec may cross a process boundary.
-  SHEP_REQUIRE(name.find_first_of(" \t\n") == std::string::npos,
-               "scenario names must be whitespace-free to serialize");
-  std::ostringstream os;
+namespace {
+
+/// The text form of a spec, for serdes::TextWriter and TextReader alike.
+template <class Io, class Spec>
+void SpecFields(Io& io, Spec& s) {
   // v2: the spec gained the faults block (deterministic fault injection);
   // v1 bytes would mis-align on parse, so the version token rejects them.
-  os << "shep-scenario v2\n";
-  os << "name " << name << '\n';
-  os << "seed " << seed << '\n';
-  os << "shape " << days << ' ' << slots_per_day << ' ' << nodes_per_cell
-     << '\n';
-  os << "sites " << sites.size();
-  for (const std::string& code : sites) os << ' ' << code;
-  os << '\n';
-  os << "tiers " << storage_tiers_j.size();
-  for (double tier : storage_tiers_j) {
-    os << ' ';
-    serdes::WriteDouble(os, tier);
-  }
-  os << '\n';
-  os << "predictors " << predictors.size() << '\n';
-  for (const PredictorSpec& p : predictors) {
+  io.Line("shep-scenario", "v2");
+  io.Line("name", s.name);
+  io.Line("seed", s.seed);
+  io.Line("shape", s.days, s.slots_per_day, s.nodes_per_cell);
+  io.Fields("sites");
+  io.Seq(s.sites);
+  io.Line();
+  io.Fields("tiers");
+  io.Seq(s.storage_tiers_j);
+  io.Line();
+  io.Fields("predictors");
+  io.Seq(s.predictors, [&io](auto& p) {
     // Every kind serializes every parameter block: the few unused doubles
     // cost a handful of bytes and keep the reader branch-free.
-    os << "predictor " << PredictorKindName(p.kind) << " wcma ";
-    serdes::WriteDouble(os, p.wcma.alpha);
-    os << ' ' << p.wcma.days << ' ' << p.wcma.slots_k << " ewma ";
-    serdes::WriteDouble(os, p.ewma_weight);
-    os << " ar " << p.ar.order << ' ' << p.ar.days << ' ';
-    serdes::WriteDouble(os, p.ar.lambda);
-    os << ' ';
-    serdes::WriteDouble(os, p.ar.delta);
-    os << " adaptive " << p.adaptive.alphas.size();
-    for (double a : p.adaptive.alphas) {
-      os << ' ';
-      serdes::WriteDouble(os, a);
-    }
-    os << ' ' << p.adaptive.ks.size();
-    for (int k : p.adaptive.ks) os << ' ' << k;
-    os << ' ' << p.adaptive.days << ' ';
-    serdes::WriteDouble(os, p.adaptive.discount);
-    os << '\n';
-  }
-  os << "duty ";
-  serdes::WriteDouble(os, node.duty.slot_seconds);
-  os << ' ';
-  serdes::WriteDouble(os, node.duty.active_power_w);
-  os << ' ';
-  serdes::WriteDouble(os, node.duty.sleep_power_w);
-  os << ' ';
-  serdes::WriteDouble(os, node.duty.min_duty);
-  os << ' ';
-  serdes::WriteDouble(os, node.duty.max_duty);
-  os << ' ';
-  serdes::WriteDouble(os, node.duty.target_level_fraction);
-  os << ' ';
-  serdes::WriteDouble(os, node.duty.level_gain);
-  os << '\n';
-  os << "store ";
-  serdes::WriteDouble(os, node.storage.capacity_j);
-  os << ' ';
-  serdes::WriteDouble(os, node.storage.charge_efficiency);
-  os << ' ';
-  serdes::WriteDouble(os, node.storage.leakage_w);
-  os << '\n';
-  os << "node ";
-  serdes::WriteDouble(os, node.initial_level_fraction);
-  os << ' ' << node.warmup_days << ' ';
-  serdes::WriteDouble(os, initial_level_jitter);
-  os << '\n';
-  os << "faults outage ";
-  serdes::WriteDouble(os, faults.outage_rate_per_day);
-  os << ' ';
-  serdes::WriteDouble(os, faults.outage_mean_slots);
-  os << " dropout ";
-  serdes::WriteDouble(os, faults.dropout_rate_per_day);
-  os << ' ';
-  serdes::WriteDouble(os, faults.dropout_mean_slots);
-  os << " panel ";
-  serdes::WriteDouble(os, faults.panel_decay_per_day);
-  os << " aging ";
-  serdes::WriteDouble(os, faults.battery_aging_per_day);
-  os << " recovery " << faults.recovery_window_slots << '\n';
-  os << "end-scenario\n";
+    io.Line();
+    io.Fields("predictor");
+    io.Named(p.kind, PredictorKindName, PredictorKindFromName);
+    io.Fields("wcma", p.wcma.alpha, p.wcma.days, p.wcma.slots_k, "ewma",
+              p.ewma_weight, "ar", p.ar.order, p.ar.days, p.ar.lambda,
+              p.ar.delta, "adaptive");
+    io.Seq(p.adaptive.alphas);
+    io.Seq(p.adaptive.ks);
+    io.Fields(p.adaptive.days, p.adaptive.discount);
+  });
+  io.Line();
+  auto& duty = s.node.duty;
+  io.Line("duty", duty.slot_seconds, duty.active_power_w, duty.sleep_power_w,
+          duty.min_duty, duty.max_duty, duty.target_level_fraction,
+          duty.level_gain);
+  io.Line("store", s.node.storage.capacity_j,
+          s.node.storage.charge_efficiency, s.node.storage.leakage_w);
+  io.Line("node", s.node.initial_level_fraction, s.node.warmup_days,
+          s.initial_level_jitter);
+  auto& f = s.faults;
+  io.Line("faults", "outage", f.outage_rate_per_day, f.outage_mean_slots,
+          "dropout", f.dropout_rate_per_day, f.dropout_mean_slots, "panel",
+          f.panel_decay_per_day, "aging", f.battery_aging_per_day,
+          "recovery", f.recovery_window_slots);
+  io.Line("end-scenario");
+}
+
+}  // namespace
+
+std::string ScenarioSpec::Describe() const {
+  Validate();  // only an expandable spec may cross a process boundary.
+  std::ostringstream os;
+  serdes::TextWriter writer(os);
+  SpecFields(writer, *this);
   return os.str();
 }
 
 ScenarioSpec ParseScenarioSpec(const std::string& text) {
   std::istringstream is(text);
-  serdes::ExpectToken(is, "shep-scenario");
-  serdes::ExpectToken(is, "v2");
+  serdes::TextReader reader(is);
   ScenarioSpec spec;
-  serdes::ExpectToken(is, "name");
-  is >> spec.name;
-  SHEP_REQUIRE(!spec.name.empty(), "scenario is missing its name");
-  serdes::ExpectToken(is, "seed");
-  spec.seed = serdes::ReadU64(is);
-  serdes::ExpectToken(is, "shape");
-  spec.days = static_cast<std::size_t>(serdes::ReadU64(is));
-  spec.slots_per_day = static_cast<int>(serdes::ReadU64(is));
-  spec.nodes_per_cell = static_cast<std::size_t>(serdes::ReadU64(is));
-
-  serdes::ExpectToken(is, "sites");
-  const std::uint64_t site_count = serdes::ReadU64(is);
-  spec.sites.clear();
-  for (std::uint64_t i = 0; i < site_count; ++i) {
-    std::string code;
-    is >> code;
-    SHEP_REQUIRE(!code.empty(), "scenario lists an empty site code");
-    spec.sites.push_back(code);
-  }
-
-  serdes::ExpectToken(is, "tiers");
-  const std::uint64_t tier_count = serdes::ReadU64(is);
-  spec.storage_tiers_j.clear();
-  for (std::uint64_t i = 0; i < tier_count; ++i) {
-    spec.storage_tiers_j.push_back(serdes::ReadDouble(is));
-  }
-
-  serdes::ExpectToken(is, "predictors");
-  const std::uint64_t predictor_count = serdes::ReadU64(is);
-  spec.predictors.clear();
-  for (std::uint64_t i = 0; i < predictor_count; ++i) {
-    serdes::ExpectToken(is, "predictor");
-    PredictorSpec p;
-    std::string kind;
-    is >> kind;
-    p.kind = PredictorKindFromName(kind);
-    serdes::ExpectToken(is, "wcma");
-    p.wcma.alpha = serdes::ReadDouble(is);
-    p.wcma.days = static_cast<int>(serdes::ReadU64(is));
-    p.wcma.slots_k = static_cast<int>(serdes::ReadU64(is));
-    serdes::ExpectToken(is, "ewma");
-    p.ewma_weight = serdes::ReadDouble(is);
-    serdes::ExpectToken(is, "ar");
-    p.ar.order = static_cast<int>(serdes::ReadU64(is));
-    p.ar.days = static_cast<int>(serdes::ReadU64(is));
-    p.ar.lambda = serdes::ReadDouble(is);
-    p.ar.delta = serdes::ReadDouble(is);
-    serdes::ExpectToken(is, "adaptive");
-    const std::uint64_t alpha_count = serdes::ReadU64(is);
-    p.adaptive.alphas.clear();
-    for (std::uint64_t a = 0; a < alpha_count; ++a) {
-      p.adaptive.alphas.push_back(serdes::ReadDouble(is));
-    }
-    const std::uint64_t k_count = serdes::ReadU64(is);
-    p.adaptive.ks.clear();
-    for (std::uint64_t k = 0; k < k_count; ++k) {
-      p.adaptive.ks.push_back(static_cast<int>(serdes::ReadU64(is)));
-    }
-    p.adaptive.days = static_cast<int>(serdes::ReadU64(is));
-    p.adaptive.discount = serdes::ReadDouble(is);
-    spec.predictors.push_back(p);
-  }
-
-  serdes::ExpectToken(is, "duty");
-  spec.node.duty.slot_seconds = serdes::ReadDouble(is);
-  spec.node.duty.active_power_w = serdes::ReadDouble(is);
-  spec.node.duty.sleep_power_w = serdes::ReadDouble(is);
-  spec.node.duty.min_duty = serdes::ReadDouble(is);
-  spec.node.duty.max_duty = serdes::ReadDouble(is);
-  spec.node.duty.target_level_fraction = serdes::ReadDouble(is);
-  spec.node.duty.level_gain = serdes::ReadDouble(is);
-  serdes::ExpectToken(is, "store");
-  spec.node.storage.capacity_j = serdes::ReadDouble(is);
-  spec.node.storage.charge_efficiency = serdes::ReadDouble(is);
-  spec.node.storage.leakage_w = serdes::ReadDouble(is);
-  serdes::ExpectToken(is, "node");
-  spec.node.initial_level_fraction = serdes::ReadDouble(is);
-  spec.node.warmup_days = static_cast<std::size_t>(serdes::ReadU64(is));
-  spec.initial_level_jitter = serdes::ReadDouble(is);
-  serdes::ExpectToken(is, "faults");
-  serdes::ExpectToken(is, "outage");
-  spec.faults.outage_rate_per_day = serdes::ReadDouble(is);
-  spec.faults.outage_mean_slots = serdes::ReadDouble(is);
-  serdes::ExpectToken(is, "dropout");
-  spec.faults.dropout_rate_per_day = serdes::ReadDouble(is);
-  spec.faults.dropout_mean_slots = serdes::ReadDouble(is);
-  serdes::ExpectToken(is, "panel");
-  spec.faults.panel_decay_per_day = serdes::ReadDouble(is);
-  serdes::ExpectToken(is, "aging");
-  spec.faults.battery_aging_per_day = serdes::ReadDouble(is);
-  serdes::ExpectToken(is, "recovery");
-  spec.faults.recovery_window_slots =
-      static_cast<std::size_t>(serdes::ReadU64(is));
-  serdes::ExpectToken(is, "end-scenario");
+  SpecFields(reader, spec);
   // Trailing junk means these are not Describe() bytes — reject rather
   // than silently ignoring what might be a second (dropped) spec.
   std::string trailing;

@@ -92,7 +92,8 @@ struct ScenarioSpec {
   /// healthy fleet, which reproduces fault-free results bit for bit.
   FaultSpec faults;
 
-  /// Throws std::invalid_argument when the spec cannot be expanded.
+  /// Throws std::invalid_argument when the spec cannot be expanded or
+  /// described (its name must be one non-empty, whitespace-free word).
   void Validate() const;
 
   /// Exact text form of the whole spec — every double travels as a

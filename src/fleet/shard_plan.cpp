@@ -1,40 +1,12 @@
 #include "fleet/shard_plan.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <string>
 
 #include "common/check.hpp"
+#include "common/serdes.hpp"
 
 namespace shep {
-
-namespace {
-
-/// FNV-1a 64-bit over the plan-identity fields.  Not cryptographic — it
-/// only has to make accidental cross-plan merges (different spec, seed, or
-/// shard size) fail loudly instead of silently producing garbage.
-class Fnv1a {
- public:
-  void Mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      Byte(static_cast<unsigned char>(v >> (8 * i)));
-    }
-  }
-  void Mix(const std::string& s) {
-    Mix(static_cast<std::uint64_t>(s.size()));
-    for (char c : s) Byte(static_cast<unsigned char>(c));
-  }
-  void Mix(double v) { Mix(std::bit_cast<std::uint64_t>(v)); }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  void Byte(unsigned char b) {
-    hash_ ^= b;
-    hash_ *= 0x100000001B3ull;
-  }
-  std::uint64_t hash_ = 0xCBF29CE484222325ull;
-};
-
-}  // namespace
 
 ShardPlan BuildShardPlan(const ScenarioSpec& spec, std::size_t shard_size) {
   SHEP_REQUIRE(shard_size >= 1, "shard_size must be >= 1");
@@ -67,63 +39,12 @@ ShardPlan BuildShardPlan(const ScenarioSpec& spec, std::size_t shard_size) {
   }
 
   // The fingerprint must cover EVERY spec field that changes simulation
-  // results, not just the matrix shape — two specs that differ only in a
-  // predictor parameter or a storage tier expand to identically-shaped
-  // matrices, and merging their partials must still fail loudly.
-  Fnv1a hash;
-  hash.Mix(s.name);
-  hash.Mix(s.seed);
-  hash.Mix(static_cast<std::uint64_t>(node_count));
-  hash.Mix(static_cast<std::uint64_t>(plan.matrix.cells.size()));
-  hash.Mix(static_cast<std::uint64_t>(shard_size));
-  hash.Mix(static_cast<std::uint64_t>(s.days));
-  hash.Mix(static_cast<std::uint64_t>(s.slots_per_day));
-  for (const PredictorSpec& p : s.predictors) {
-    hash.Mix(static_cast<std::uint64_t>(p.kind));
-    hash.Mix(p.wcma.alpha);
-    hash.Mix(static_cast<std::uint64_t>(p.wcma.days));
-    hash.Mix(static_cast<std::uint64_t>(p.wcma.slots_k));
-    hash.Mix(p.ewma_weight);
-    hash.Mix(static_cast<std::uint64_t>(p.ar.order));
-    hash.Mix(static_cast<std::uint64_t>(p.ar.days));
-    hash.Mix(p.ar.lambda);
-    hash.Mix(p.ar.delta);
-    hash.Mix(static_cast<std::uint64_t>(p.adaptive.alphas.size()));
-    for (double a : p.adaptive.alphas) hash.Mix(a);
-    hash.Mix(static_cast<std::uint64_t>(p.adaptive.ks.size()));
-    for (int k : p.adaptive.ks) hash.Mix(static_cast<std::uint64_t>(k));
-    hash.Mix(static_cast<std::uint64_t>(p.adaptive.days));
-    hash.Mix(p.adaptive.discount);
-  }
-  hash.Mix(static_cast<std::uint64_t>(s.storage_tiers_j.size()));
-  for (double tier : s.storage_tiers_j) hash.Mix(tier);
-  hash.Mix(s.node.duty.slot_seconds);
-  hash.Mix(s.node.duty.active_power_w);
-  hash.Mix(s.node.duty.sleep_power_w);
-  hash.Mix(s.node.duty.min_duty);
-  hash.Mix(s.node.duty.max_duty);
-  hash.Mix(s.node.duty.target_level_fraction);
-  hash.Mix(s.node.duty.level_gain);
-  hash.Mix(s.node.storage.capacity_j);
-  hash.Mix(s.node.storage.charge_efficiency);
-  hash.Mix(s.node.storage.leakage_w);
-  hash.Mix(s.node.initial_level_fraction);
-  hash.Mix(static_cast<std::uint64_t>(s.node.warmup_days));
-  hash.Mix(s.initial_level_jitter);
-  // Fault knobs change every result, so two campaigns differing only in a
-  // fault rate must refuse to merge.
-  hash.Mix(s.faults.outage_rate_per_day);
-  hash.Mix(s.faults.outage_mean_slots);
-  hash.Mix(s.faults.dropout_rate_per_day);
-  hash.Mix(s.faults.dropout_mean_slots);
-  hash.Mix(s.faults.panel_decay_per_day);
-  hash.Mix(s.faults.battery_aging_per_day);
-  hash.Mix(static_cast<std::uint64_t>(s.faults.recovery_window_slots));
-  for (const TraceLanePlan& lane : plan.lanes) {
-    hash.Mix(lane.site_code);
-    hash.Mix(lane.trace_seed);
-  }
-  plan.fingerprint = hash.value();
+  // results — two specs that differ only in a predictor parameter expand
+  // to identically-shaped matrices, and merging their partials must still
+  // fail loudly.  Describe() spells out every field a worker rebuilds the
+  // plan from, so hashing its exact text covers them all by construction.
+  plan.fingerprint = serdes::Fnv1a64(s.Describe() + "shard-size " +
+                                     std::to_string(shard_size) + '\n');
   return plan;
 }
 

@@ -46,7 +46,9 @@ struct TraceLanePlan {
 struct ShardPlan {
   ScenarioMatrix matrix;
   std::size_t shard_size = 0;
-  std::uint64_t fingerprint = 0;  ///< identity of (spec, shard_size).
+  /// Identity of (spec, shard_size): serdes::Fnv1a64 of the expanded
+  /// spec's Describe() text followed by "shard-size <n>\n".
+  std::uint64_t fingerprint = 0;
   std::vector<ShardRange> shards;
   std::vector<TraceLanePlan> lanes;  ///< index == lane id.
 };

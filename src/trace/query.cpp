@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <stdexcept>
 
 #include "common/check.hpp"
 #include "common/strings.hpp"
@@ -39,7 +40,13 @@ bool MatchesCell(const TraceQuery& query, const TraceCellInfo& info) {
 TraceShardFile LoadTraceFile(const std::string& path) {
   std::ifstream in(path);
   SHEP_REQUIRE(in.good(), "cannot open trace file: " + path);
-  return TraceShardFile::Parse(in);
+  try {
+    return TraceShardFile::Parse(in);
+  } catch (const std::invalid_argument& e) {
+    // Name the bad file: a query joins many, and the reader's own message
+    // only says what it found, not where.
+    throw std::invalid_argument(path + ": " + e.what());
+  }
 }
 
 std::vector<TraceShardFile> LoadTraceFiles(

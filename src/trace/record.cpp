@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/check.hpp"
+#include "common/serdes.hpp"
 
 namespace shep {
 
@@ -13,20 +14,18 @@ constexpr std::uint32_t kAllTriggers =
     kTraceTriggerViolationBurst | kTraceTriggerSocLowWater |
     kTraceTriggerDivergence | kTraceTriggerOutage;
 
-/// Reads a token already extracted as u64 and narrows it with a range
-/// check — a 2^40 "slot" in a trace file is corruption, not data.
-std::uint32_t ReadU32(std::istream& is) {
-  const std::uint64_t value = serdes::ReadU64(is);
-  SHEP_REQUIRE(value <= 0xFFFFFFFFull,
-               "serialized value does not fit 32 bits: " +
-                   std::to_string(value));
-  return static_cast<std::uint32_t>(value);
+/// The text forms of both record shapes, for serdes::TextWriter and
+/// TextReader alike.
+template <class Io, class Slot>
+void SlotFields(Io& io, Slot& r) {
+  io.Line("slot", r.node, r.cell, r.slot, r.trigger_mask, r.violated, r.soc,
+          r.predicted_w, r.actual_w, r.duty);
 }
 
-bool ReadFlag(std::istream& is) {
-  const std::uint64_t value = serdes::ReadU64(is);
-  SHEP_REQUIRE(value <= 1, "serialized flag must be 0 or 1");
-  return value == 1;
+template <class Io, class Day>
+void DayFields(Io& io, Day& r) {
+  io.Line("day", r.node, r.cell, r.day, r.slots, r.violations, r.min_soc,
+          r.mean_duty, r.max_abs_error_w);
 }
 
 }  // namespace
@@ -67,59 +66,30 @@ std::string TraceTriggerMaskName(std::uint32_t mask) {
 }
 
 void TraceRecord::Serialize(std::ostream& os) const {
-  os << "slot " << node << ' ' << cell << ' ' << slot << ' ' << trigger_mask
-     << ' ' << (violated ? 1 : 0) << ' ';
-  serdes::WriteDouble(os, soc);
-  os << ' ';
-  serdes::WriteDouble(os, predicted_w);
-  os << ' ';
-  serdes::WriteDouble(os, actual_w);
-  os << ' ';
-  serdes::WriteDouble(os, duty);
-  os << '\n';
+  serdes::TextWriter writer(os);
+  SlotFields(writer, *this);
 }
 
 TraceRecord TraceRecord::Deserialize(std::istream& is) {
-  serdes::ExpectToken(is, "slot");
+  serdes::TextReader reader(is);
   TraceRecord r;
-  r.node = serdes::ReadU64(is);
-  r.cell = serdes::ReadU64(is);
-  r.slot = ReadU32(is);
-  r.trigger_mask = ReadU32(is);
+  SlotFields(reader, r);
   SHEP_REQUIRE((r.trigger_mask & ~kAllTriggers) == 0,
                "trace record carries unknown trigger bits");
-  r.violated = ReadFlag(is);
-  r.soc = serdes::ReadDouble(is);
-  r.predicted_w = serdes::ReadDouble(is);
-  r.actual_w = serdes::ReadDouble(is);
-  r.duty = serdes::ReadDouble(is);
   return r;
 }
 
 void TraceDayRecord::Serialize(std::ostream& os) const {
-  os << "day " << node << ' ' << cell << ' ' << day << ' ' << slots << ' '
-     << violations << ' ';
-  serdes::WriteDouble(os, min_soc);
-  os << ' ';
-  serdes::WriteDouble(os, mean_duty);
-  os << ' ';
-  serdes::WriteDouble(os, max_abs_error_w);
-  os << '\n';
+  serdes::TextWriter writer(os);
+  DayFields(writer, *this);
 }
 
 TraceDayRecord TraceDayRecord::Deserialize(std::istream& is) {
-  serdes::ExpectToken(is, "day");
+  serdes::TextReader reader(is);
   TraceDayRecord r;
-  r.node = serdes::ReadU64(is);
-  r.cell = serdes::ReadU64(is);
-  r.day = ReadU32(is);
-  r.slots = ReadU32(is);
-  r.violations = ReadU32(is);
+  DayFields(reader, r);
   SHEP_REQUIRE(r.violations <= r.slots,
                "day record counts more violations than slots");
-  r.min_soc = serdes::ReadDouble(is);
-  r.mean_duty = serdes::ReadDouble(is);
-  r.max_abs_error_w = serdes::ReadDouble(is);
   return r;
 }
 

@@ -13,7 +13,7 @@
 //    slot the policy did NOT keep, so the timeline has no blind gaps —
 //    just lower resolution away from the interesting windows.
 //
-// Both serialize through the shared serdes hexfloat helpers: a record that
+// Both serialize through the shared serdes text codec: a record that
 // crossed a file boundary parses back BIT-identically, the same exactness
 // contract the fleet partials carry (pinned by tests/test_trace_records.cpp
 // at the representation's edges).
@@ -22,8 +22,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-
-#include "common/serdes.hpp"
 
 namespace shep {
 

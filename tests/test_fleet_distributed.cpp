@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/serdes.hpp"
 #include "common/threadpool.hpp"
 #include "fleet/partial.hpp"
 #include "fleet/shard_plan.hpp"
@@ -116,31 +117,97 @@ TEST(ShardPlan, IsDeterministicAndCoversEveryNode) {
 // The fingerprint must cover every result-relevant spec field — specs that
 // differ only in a predictor parameter, a storage tier, or the node config
 // expand to identically-shaped matrices, yet merging their partials has to
-// fail loudly.
+// fail loudly.  One mutation per field of the spec's text form; the base
+// enables every fault channel so each fault field can move on its own.
 TEST(ShardPlan, FingerprintCoversResultRelevantSpecFields) {
-  const ScenarioSpec base = DistributedSpec();
+  ScenarioSpec base = DistributedSpec();
+  base.faults.outage_rate_per_day = 0.05;
+  base.faults.outage_mean_slots = 6.0;
+  base.faults.dropout_rate_per_day = 0.1;
+  base.faults.dropout_mean_slots = 3.0;
+  base.faults.panel_decay_per_day = 0.001;
+  base.faults.battery_aging_per_day = 0.002;
+  base.faults.recovery_window_slots = 24;
   const std::uint64_t fp = BuildShardPlan(base, 5).fingerprint;
 
-  ScenarioSpec tuned = base;
-  tuned.predictors[0].wcma.alpha = 0.5;
-  EXPECT_NE(BuildShardPlan(tuned, 5).fingerprint, fp);
+  const std::vector<std::pair<const char*, void (*)(ScenarioSpec&)>>
+      mutations = {
+          {"wcma.alpha",
+           [](ScenarioSpec& s) { s.predictors[0].wcma.alpha = 0.5; }},
+          {"wcma.days", [](ScenarioSpec& s) { s.predictors[0].wcma.days = 9; }},
+          {"wcma.slots_k",
+           [](ScenarioSpec& s) { s.predictors[0].wcma.slots_k = 2; }},
+          {"kind",
+           [](ScenarioSpec& s) {
+             s.predictors[2].kind = PredictorKind::kPreviousDay;
+           }},
+          {"ewma_weight",
+           [](ScenarioSpec& s) { s.predictors[0].ewma_weight = 0.3; }},
+          {"ar.order", [](ScenarioSpec& s) { s.predictors[0].ar.order = 2; }},
+          {"ar.days", [](ScenarioSpec& s) { s.predictors[0].ar.days = 9; }},
+          {"ar.lambda",
+           [](ScenarioSpec& s) { s.predictors[0].ar.lambda = 0.99; }},
+          {"ar.delta",
+           [](ScenarioSpec& s) { s.predictors[0].ar.delta = 50.0; }},
+          {"adaptive.alphas",
+           [](ScenarioSpec& s) { s.predictors[0].adaptive.alphas[0] = 0.2; }},
+          {"adaptive.ks",
+           [](ScenarioSpec& s) { s.predictors[0].adaptive.ks.back() = 5; }},
+          {"adaptive.days",
+           [](ScenarioSpec& s) { s.predictors[0].adaptive.days = 9; }},
+          {"adaptive.discount",
+           [](ScenarioSpec& s) { s.predictors[0].adaptive.discount = 0.9; }},
+          {"storage tier",
+           [](ScenarioSpec& s) { s.storage_tiers_j[0] = 2000.0; }},
+          {"charge_efficiency",
+           [](ScenarioSpec& s) { s.node.storage.charge_efficiency = 0.8; }},
+          {"leakage_w",
+           [](ScenarioSpec& s) { s.node.storage.leakage_w = 2e-5; }},
+          {"active_power_w",
+           [](ScenarioSpec& s) { s.node.duty.active_power_w = 0.35; }},
+          {"sleep_power_w",
+           [](ScenarioSpec& s) { s.node.duty.sleep_power_w = 5e-6; }},
+          {"min_duty", [](ScenarioSpec& s) { s.node.duty.min_duty = 0.03; }},
+          {"max_duty", [](ScenarioSpec& s) { s.node.duty.max_duty = 0.9; }},
+          {"target_level_fraction",
+           [](ScenarioSpec& s) { s.node.duty.target_level_fraction = 0.6; }},
+          {"level_gain", [](ScenarioSpec& s) { s.node.duty.level_gain = 0.1; }},
+          {"warmup_days", [](ScenarioSpec& s) { s.node.warmup_days = 21; }},
+          {"initial_level_fraction",
+           [](ScenarioSpec& s) { s.node.initial_level_fraction = 0.6; }},
+          {"initial_level_jitter",
+           [](ScenarioSpec& s) { s.initial_level_jitter = 0.1; }},
+          {"outage_rate_per_day",
+           [](ScenarioSpec& s) { s.faults.outage_rate_per_day = 0.06; }},
+          {"outage_mean_slots",
+           [](ScenarioSpec& s) { s.faults.outage_mean_slots = 7.0; }},
+          {"dropout_rate_per_day",
+           [](ScenarioSpec& s) { s.faults.dropout_rate_per_day = 0.2; }},
+          {"dropout_mean_slots",
+           [](ScenarioSpec& s) { s.faults.dropout_mean_slots = 4.0; }},
+          {"panel_decay_per_day",
+           [](ScenarioSpec& s) { s.faults.panel_decay_per_day = 0.002; }},
+          {"battery_aging_per_day",
+           [](ScenarioSpec& s) { s.faults.battery_aging_per_day = 0.003; }},
+          {"recovery_window_slots",
+           [](ScenarioSpec& s) { s.faults.recovery_window_slots = 12; }},
+          {"days", [](ScenarioSpec& s) { s.days = 31; }},
+          {"slots_per_day", [](ScenarioSpec& s) { s.slots_per_day = 24; }},
+          {"nodes_per_cell", [](ScenarioSpec& s) { s.nodes_per_cell = 2; }},
+          {"name", [](ScenarioSpec& s) { s.name = "distributed2"; }},
+          {"sites", [](ScenarioSpec& s) { s.sites = {"PFCI", "HSU"}; }},
+      };
+  for (const auto& [field, mutate] : mutations) {
+    ScenarioSpec changed = base;
+    mutate(changed);
+    EXPECT_NE(BuildShardPlan(changed, 5).fingerprint, fp) << field;
+  }
 
-  ScenarioSpec retiered = base;
-  retiered.storage_tiers_j[0] = 2000.0;
-  EXPECT_NE(BuildShardPlan(retiered, 5).fingerprint, fp);
-
-  ScenarioSpec reloaded = base;
-  reloaded.node.duty.active_power_w = 0.35;
-  EXPECT_NE(BuildShardPlan(reloaded, 5).fingerprint, fp);
-
-  ScenarioSpec rewarmed = base;
-  rewarmed.node.warmup_days = 21;
-  rewarmed.days = base.days + 1;  // keep the horizon valid.
-  EXPECT_NE(BuildShardPlan(rewarmed, 5).fingerprint, fp);
-
-  ScenarioSpec jittered = base;
-  jittered.initial_level_jitter = 0.1;
-  EXPECT_NE(BuildShardPlan(jittered, 5).fingerprint, fp);
+  // ExpandScenario forces the slot length to 86400 / slots_per_day, so a
+  // spec's own slot_seconds never reaches a result, nor the fingerprint.
+  ScenarioSpec reslotted = base;
+  reslotted.node.duty.slot_seconds = 900.0;
+  EXPECT_EQ(BuildShardPlan(reslotted, 5).fingerprint, fp);
 }
 
 TEST(FleetPartial, SerializeParseRoundTripIsBitIdentical) {

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/serdes.hpp"
 #include "fleet/aggregate.hpp"
 
 namespace shep {

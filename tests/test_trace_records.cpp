@@ -280,6 +280,34 @@ TEST(TraceFileSerde, SerializeMatchesCommittedText) {
   EXPECT_EQ(again.str(), kPinnedShardFileText);
 }
 
+/// kPinnedShardFileText with its first `from` replaced by `to`, parsed.
+TraceShardFile ParsePinnedWith(const std::string& from, const std::string& to) {
+  std::string text = kPinnedShardFileText;
+  text.replace(text.find(from), from.size(), to);
+  std::istringstream is(text);
+  return TraceShardFile::Parse(is);
+}
+
+// Counts and widths come off the wire, so a lie in one must end in
+// std::invalid_argument: never in an allocation sized by the lie, never in
+// a value silently narrowed to fit its field.
+TEST(TraceFileSerde, ParseRejectsLyingCountsAndOverwideFields) {
+  for (const std::string count : {"cells 2", "records 1", "day_records 1"}) {
+    const std::string lie =
+        count.substr(0, count.size() - 1) + "99999999999999";
+    EXPECT_THROW((void)ParsePinnedWith(count, lie), std::invalid_argument)
+        << lie;
+  }
+  // 2^32 + 48 and 2^32 + 30: one bit past what the 32-bit fields hold.
+  EXPECT_THROW((void)ParsePinnedWith("slots_per_day 48",
+                                     "slots_per_day 4294967344"),
+               std::invalid_argument);
+  EXPECT_THROW((void)ParsePinnedWith("days 30", "days 4294967326"),
+               std::invalid_argument);
+  // The unmodified text parses: the cases above fail on their lie alone.
+  EXPECT_EQ(ParsePinnedWith("days 30", "days 30").days, 30u);
+}
+
 TEST(TraceRing, OverflowDropsAndCountsExactly) {
   TraceRing ring(8);  // rounds to capacity 8.
   ASSERT_EQ(ring.capacity(), 8u);

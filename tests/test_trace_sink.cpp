@@ -18,6 +18,7 @@
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -521,6 +522,22 @@ TEST(TraceSinkFleet, RejectsJoiningForeignRuns) {
       TraceFilePaths(plan_b, dir_b).front(),
   };
   EXPECT_THROW(LoadTraceFiles(mixed), std::exception);
+}
+
+// A name with a space cannot travel as one token of any text format.  It
+// must be refused before the run starts, traced or not — found only when
+// the drain thread writes the first trace file, the throw could not be
+// caught there and would take the process down.
+TEST(TraceSinkFleet, WhitespaceNameIsRefusedBeforeTheRun) {
+  ScenarioSpec spaced = TracedSpec();
+  spaced.name = "two words";
+  EXPECT_THROW(RunFleet(spaced), std::invalid_argument);
+  TraceSinkOptions options;
+  options.directory = UniqueDir("spaced");
+  TraceSink sink(options);
+  FleetRunOptions run;
+  run.trace_sink = &sink;
+  EXPECT_THROW(RunFleet(spaced, run), std::invalid_argument);
 }
 
 }  // namespace
