@@ -85,10 +85,23 @@ StreamingMoments StreamingMoments::Deserialize(std::istream& is) {
   return m;
 }
 
+namespace {
+
+/// Checked before the bins are allocated: Deserialize passes a count read
+/// off the wire, which must not size an allocation unchecked.
+std::size_t CheckedBinCount(std::size_t bins) {
+  SHEP_REQUIRE(bins >= 1 && bins <= FixedHistogram::kMaxBins,
+               "histogram needs 1 to " +
+                   std::to_string(FixedHistogram::kMaxBins) +
+                   " bins, got " + std::to_string(bins));
+  return bins;
+}
+
+}  // namespace
+
 FixedHistogram::FixedHistogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bins_(bins, 0) {
+    : lo_(lo), hi_(hi), bins_(CheckedBinCount(bins), 0) {
   SHEP_REQUIRE(hi > lo, "histogram range must be non-empty");
-  SHEP_REQUIRE(bins >= 1, "histogram needs at least one bin");
 }
 
 void FixedHistogram::Add(double x) {

@@ -56,6 +56,10 @@ struct StreamingMoments : WelfordMoments {
 /// Mergeable by bin-wise addition.
 class FixedHistogram {
  public:
+  /// Most bins a histogram may have, so a serialized bin count can make
+  /// Deserialize allocate at most 32 KiB (the tree's use 256 and 500).
+  static constexpr std::size_t kMaxBins = 4096;
+
   FixedHistogram(double lo, double hi, std::size_t bins);
 
   void Add(double x);

@@ -358,6 +358,10 @@ TEST(FleetPartial, ParseRejectsCorruptedAggregates) {
   // Out-of-order entries are equally malformed.
   EXPECT_THROW(parse("hist 0x0p+0 0x1p+0 10 0 2 4:1 3:1"),
                std::invalid_argument);
+  // The bin count sizes the dense bins, so a lie in it is refused before
+  // any allocation.
+  EXPECT_THROW(parse("hist 0x0p+0 0x1p+0 99999999999999 0 0"),
+               std::invalid_argument);
 
   // Integer overflow must not clamp to ULLONG_MAX silently.
   std::istringstream overflow("99999999999999999999999");
